@@ -45,6 +45,13 @@ pub enum DatasetError {
         /// Column index.
         col: usize,
     },
+    /// A feature value is `+inf` or `-inf`.
+    InfiniteFeature {
+        /// Row index.
+        row: usize,
+        /// Column index.
+        col: usize,
+    },
 }
 
 impl fmt::Display for DatasetError {
@@ -67,6 +74,9 @@ impl fmt::Display for DatasetError {
                 write!(f, "{names} feature names for a width-{width} matrix")
             }
             Self::NanFeature { row, col } => write!(f, "NaN feature at ({row}, {col})"),
+            Self::InfiniteFeature { row, col } => {
+                write!(f, "infinite feature at ({row}, {col})")
+            }
         }
     }
 }
@@ -87,8 +97,10 @@ impl Dataset {
     ///
     /// # Errors
     ///
-    /// Returns an error for shape mismatches, out-of-range labels or NaN
-    /// features.
+    /// Returns an error for shape mismatches, out-of-range labels or
+    /// non-finite features. A split threshold next to an infinity is
+    /// itself infinite or NaN and sends every sample one way, so
+    /// infinities are rejected like NaN.
     pub fn new(
         features: Vec<Vec<f64>>,
         labels: Vec<usize>,
@@ -119,6 +131,9 @@ impl Dataset {
             for (j, v) in row.iter().enumerate() {
                 if v.is_nan() {
                     return Err(DatasetError::NanFeature { row: i, col: j });
+                }
+                if v.is_infinite() {
+                    return Err(DatasetError::InfiniteFeature { row: i, col: j });
                 }
             }
         }
@@ -172,6 +187,24 @@ impl Dataset {
     /// All labels.
     pub fn labels(&self) -> &[usize] {
         &self.labels
+    }
+
+    /// Replaces every label with `label(i)` for sample `i`, keeping the
+    /// feature matrix (gradient boosting refits the same rows to a new
+    /// target each round).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a new label is outside `0..n_classes`.
+    pub(crate) fn relabel(&mut self, mut label: impl FnMut(usize) -> usize) {
+        for (i, l) in self.labels.iter_mut().enumerate() {
+            *l = label(i);
+            assert!(
+                *l < self.n_classes,
+                "label {l} outside 0..{}",
+                self.n_classes
+            );
+        }
     }
 
     /// Feature names.
@@ -274,6 +307,37 @@ mod tests {
             Dataset::new(vec![vec![1.0]], vec![0], vec![], 2),
             Err(DatasetError::NameMismatch { .. })
         ));
+    }
+
+    #[test]
+    fn rejects_infinite_features() {
+        for v in [f64::INFINITY, f64::NEG_INFINITY] {
+            let err = Dataset::new(
+                vec![vec![1.0, 2.0], vec![3.0, v]],
+                vec![0, 1],
+                vec!["a".into(), "b".into()],
+                2,
+            )
+            .expect_err("infinite feature");
+            assert_eq!(err, DatasetError::InfiniteFeature { row: 1, col: 1 });
+            assert_eq!(err.to_string(), "infinite feature at (1, 1)");
+        }
+        // Extreme finite values stay legal.
+        assert!(Dataset::new(
+            vec![vec![f64::MAX], vec![f64::MIN]],
+            vec![0, 1],
+            vec!["a".into()],
+            2
+        )
+        .is_ok());
+    }
+
+    #[test]
+    fn relabel_keeps_features() {
+        let mut d = small();
+        d.relabel(|i| usize::from(i == 0));
+        assert_eq!(d.labels(), &[1, 0, 0]);
+        assert_eq!(d.row(2), &[5.0, 6.0]);
     }
 
     #[test]

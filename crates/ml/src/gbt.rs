@@ -114,9 +114,14 @@ impl Gbt {
 
         // Materialise the training subset once; every boosting round
         // relabels the same feature matrix with the residual sign.
-        let feats: Vec<Vec<f64>> = rows.iter().map(|&r| data.row(r).to_vec()).collect();
-        let names: Vec<String> = data.feature_names().to_vec();
         let n = rows.len();
+        let mut sub = Dataset::new(
+            rows.iter().map(|&r| data.row(r).to_vec()).collect(),
+            vec![0; n],
+            data.feature_names().to_vec(),
+            2,
+        )
+        .expect("residual-sign dataset is valid by construction");
 
         for c in 0..self.n_classes {
             let y: Vec<f64> = rows
@@ -130,10 +135,7 @@ impl Gbt {
             for _round in 0..self.params.n_rounds {
                 // Residuals of the L2 loss; their sign is the 2-class
                 // problem the Gini splitter searches structure on.
-                let sign_labels: Vec<usize> =
-                    (0..n).map(|i| usize::from(y[i] - score[i] > 0.0)).collect();
-                let sub = Dataset::new(feats.clone(), sign_labels, names.clone(), 2)
-                    .expect("residual-sign dataset is valid by construction");
+                sub.relabel(|i| usize::from(y[i] - score[i] > 0.0));
                 let mut tree = DecisionTree::new(self.params.tree);
                 tree.fit(&sub);
 
@@ -141,7 +143,7 @@ impl Gbt {
                 // shrinkage folded in so prediction is a plain sum.
                 let mut sums = vec![0.0; tree.node_count()];
                 let mut counts = vec![0usize; tree.node_count()];
-                let leaf_ids: Vec<usize> = feats.iter().map(|x| tree.leaf_id(x)).collect();
+                let leaf_ids: Vec<usize> = (0..n).map(|i| tree.leaf_id(sub.row(i))).collect();
                 for i in 0..n {
                     sums[leaf_ids[i]] += y[i] - score[i];
                     counts[leaf_ids[i]] += 1;

@@ -6,7 +6,7 @@
 //! reports its feature importances).
 
 use crate::dataset::Dataset;
-use crate::split::{best_split_with, Criterion, Split};
+use crate::split::{Criterion, SplitSearch};
 use serde::{Deserialize, Serialize};
 
 /// Decision-tree hyperparameters.
@@ -111,59 +111,45 @@ impl DecisionTree {
         self.nodes.clear();
         self.n_features = data.n_features();
         self.importances = vec![0.0; data.n_features()];
-        let all_features: Vec<usize> = (0..data.n_features()).collect();
-        let mut rows = rows.to_vec();
-        let n_total = rows.len();
-        self.grow(data, &mut rows, &all_features, 0, n_total);
-        let norm: f64 = self.importances.iter().sum();
-        if norm > 0.0 {
-            for i in &mut self.importances {
-                *i /= norm;
-            }
-        }
+        let mut search = SplitSearch::new(data, rows);
+        self.grow(&mut search, 0, rows.len(), 0, rows.len());
+        self.normalise_importances();
     }
 
+    /// Grows the subtree of node `lo..hi` of `search`; returns its id.
     fn grow(
         &mut self,
-        data: &Dataset,
-        rows: &mut [usize],
-        features: &[usize],
+        search: &mut SplitSearch,
+        lo: usize,
+        hi: usize,
         depth: usize,
         n_total: usize,
     ) -> usize {
-        let split = if depth >= self.params.max_depth || rows.len() < self.params.min_samples_split
-        {
+        let split = if depth >= self.params.max_depth || hi - lo < self.params.min_samples_split {
             None
         } else {
-            best_split_with(
-                data,
-                rows,
-                features,
+            search.best_split(
+                lo,
+                hi,
                 self.params.min_samples_leaf,
                 n_total,
                 self.params.criterion,
             )
         };
         match split {
-            None => self.push_leaf(data, rows),
-            Some(Split {
-                feature,
-                threshold,
-                weighted_decrease,
-            }) => {
-                self.importances[feature] += weighted_decrease;
-                let (mut left_rows, mut right_rows): (Vec<usize>, Vec<usize>) = rows
-                    .iter()
-                    .partition(|&&r| data.row(r)[feature] <= threshold);
-                debug_assert!(!left_rows.is_empty() && !right_rows.is_empty());
+            None => self.push_leaf(&search.class_counts(lo, hi)),
+            Some(split) => {
+                self.importances[split.feature] += split.weighted_decrease;
+                let mid = search.partition(lo, hi, &split);
+                debug_assert!(lo < mid && mid < hi);
                 let id = self.nodes.len();
                 // Reserve the slot; children are appended after.
                 self.nodes.push(Node::Leaf { class: 0 });
-                let left = self.grow(data, &mut left_rows, features, depth + 1, n_total);
-                let right = self.grow(data, &mut right_rows, features, depth + 1, n_total);
+                let left = self.grow(search, lo, mid, depth + 1, n_total);
+                let right = self.grow(search, mid, hi, depth + 1, n_total);
                 self.nodes[id] = Node::Internal {
-                    feature,
-                    threshold,
+                    feature: split.feature,
+                    threshold: split.threshold,
                     left,
                     right,
                 };
@@ -172,11 +158,19 @@ impl DecisionTree {
         }
     }
 
-    fn push_leaf(&mut self, data: &Dataset, rows: &[usize]) -> usize {
-        let mut counts = vec![0usize; data.n_classes()];
-        for &r in rows {
-            counts[data.label(r)] += 1;
+    /// Scales the accumulated importances to sum to 1 (left at zero for a
+    /// tree without splits).
+    fn normalise_importances(&mut self) {
+        let norm: f64 = self.importances.iter().sum();
+        if norm > 0.0 {
+            for i in &mut self.importances {
+                *i /= norm;
+            }
         }
+    }
+
+    /// Appends a leaf predicting the majority class of `counts`.
+    fn push_leaf(&mut self, counts: &[usize]) -> usize {
         let class = counts
             .iter()
             .enumerate()
@@ -345,6 +339,79 @@ impl DecisionTree {
             0
         } else {
             rec(&self.nodes, 0)
+        }
+    }
+}
+
+/// The per-node sort-and-scan fit that [`SplitSearch`] replaced, kept as
+/// the bit-identity oracle for the split tests.
+#[cfg(test)]
+impl DecisionTree {
+    pub(crate) fn fit_rows_reference(&mut self, data: &Dataset, rows: &[usize]) {
+        assert!(!rows.is_empty(), "cannot fit on an empty training set");
+        self.nodes.clear();
+        self.n_features = data.n_features();
+        self.importances = vec![0.0; data.n_features()];
+        let all_features: Vec<usize> = (0..data.n_features()).collect();
+        let mut rows = rows.to_vec();
+        let n_total = rows.len();
+        self.grow_reference(data, &mut rows, &all_features, 0, n_total);
+        self.normalise_importances();
+    }
+
+    fn grow_reference(
+        &mut self,
+        data: &Dataset,
+        rows: &mut [usize],
+        features: &[usize],
+        depth: usize,
+        n_total: usize,
+    ) -> usize {
+        use crate::split::{best_split_with, Split};
+        let split = if depth >= self.params.max_depth || rows.len() < self.params.min_samples_split
+        {
+            None
+        } else {
+            best_split_with(
+                data,
+                rows,
+                features,
+                self.params.min_samples_leaf,
+                n_total,
+                self.params.criterion,
+            )
+        };
+        match split {
+            None => {
+                let mut counts = vec![0usize; data.n_classes()];
+                for &r in rows.iter() {
+                    counts[data.label(r)] += 1;
+                }
+                self.push_leaf(&counts)
+            }
+            Some(Split {
+                feature,
+                threshold,
+                weighted_decrease,
+            }) => {
+                self.importances[feature] += weighted_decrease;
+                let (mut left_rows, mut right_rows): (Vec<usize>, Vec<usize>) = rows
+                    .iter()
+                    .partition(|&&r| data.row(r)[feature] <= threshold);
+                debug_assert!(!left_rows.is_empty() && !right_rows.is_empty());
+                let id = self.nodes.len();
+                self.nodes.push(Node::Leaf { class: 0 });
+                let left = self.grow_reference(data, &mut left_rows, features, depth + 1, n_total);
+                let right =
+                    self.grow_reference(data, &mut right_rows, features, depth + 1, n_total);
+                self.nodes[id] = Node::Internal {
+                    feature,
+                    threshold,
+                    left,
+                    right,
+                };
+                id
+            }
         }
     }
 }
