@@ -9,9 +9,7 @@
 
 use pulp_bench::{load_or_build_dataset, CommonArgs};
 use pulp_energy::StaticFeatureSet;
-use pulp_ml::{
-    mean_std, parallel_seeds, stratified_folds, tolerance_accuracy, DecisionTree, TreeParams,
-};
+use pulp_ml::{fan_out, mean_std, stratified_folds, tolerance_accuracy, DecisionTree, TreeParams};
 use serde::Serialize;
 
 #[derive(Debug, Serialize)]
@@ -47,7 +45,7 @@ fn main() {
     for train_folds in 1..folds_per_step {
         // Each repetition derives everything from its index, so fanning
         // them over `--cv-threads` workers is deterministic.
-        let reps = parallel_seeds(repeats, protocol.cv_threads, |rep| {
+        let rep_accuracy = |rep: usize| {
             let folds = stratified_folds(all.labels(), folds_per_step, rep as u64);
             let train: Vec<usize> = folds[..train_folds].iter().flatten().copied().collect();
             let test: Vec<usize> = folds[train_folds..].iter().flatten().copied().collect();
@@ -60,7 +58,13 @@ fn main() {
                 tolerance_accuracy(&preds, &test_energies, 0.0),
                 tolerance_accuracy(&preds, &test_energies, 0.05),
             )
-        });
+        };
+        let (reps, _) = fan_out(
+            repeats,
+            protocol.cv_threads,
+            |_| (),
+            |_, rep| rep_accuracy(rep),
+        );
         let train_samples = reps.last().map_or(0, |r| r.0);
         let acc0: Vec<f64> = reps.iter().map(|r| r.1).collect();
         let acc5: Vec<f64> = reps.iter().map(|r| r.2).collect();

@@ -1737,13 +1737,19 @@ fn featurize(body: &Value) -> Result<Featurized, String> {
         .field("kernel")
         .and_then(Value::as_str)
         .map_err(|_| "body needs `features` (array) or `kernel` (string)".to_string())?;
-    let dtype_text = body.field("dtype").and_then(Value::as_str).unwrap_or("i32");
-    let dtype = match dtype_text {
-        "i32" => kernel_ir::DType::I32,
-        "f32" => kernel_ir::DType::F32,
-        other => return Err(format!("unknown dtype `{other}` (want i32 or f32)")),
+    // Absent fields take their defaults (i32, 2048 bytes); a present field
+    // of the wrong type is rejected, never defaulted.
+    let dtype = match body.field("dtype").map(Value::as_str) {
+        Err(_) | Ok(Ok("i32")) => kernel_ir::DType::I32,
+        Ok(Ok("f32")) => kernel_ir::DType::F32,
+        Ok(Ok(other)) => return Err(format!("unknown dtype `{other}` (want i32 or f32)")),
+        Ok(Err(_)) => return Err("`dtype` must be a string (i32 or f32)".to_string()),
     };
-    let size = body.field("size").and_then(Value::as_u64).unwrap_or(2048) as usize;
+    let size = match body.field("size").map(Value::as_u64) {
+        Err(_) => 2048,
+        Ok(Ok(size)) if size > 0 => size as usize,
+        Ok(_) => return Err("`size` must be a positive integer (payload bytes)".to_string()),
+    };
     let def = pulp_kernels::registry()
         .into_iter()
         .find(|d| d.name == name)
@@ -2125,6 +2131,18 @@ mod tests {
                 .unwrap_err()
                 .contains("dtype")
         );
+        // Present but wrong-typed fields are 400s naming the field, never
+        // the 2048-byte default.
+        for bad_size in ["\"4096\"", "-1", "1e12", "0", "2048.5", "null"] {
+            let body = format!("{{\"kernel\": \"gemm\", \"size\": {bad_size}}}");
+            let err = predict(&mk(&body), &state).unwrap_err();
+            assert!(err.contains("`size`"), "size {bad_size}: {err}");
+        }
+        for bad_dtype in ["32", "true", "[\"f32\"]"] {
+            let body = format!("{{\"kernel\": \"gemm\", \"dtype\": {bad_dtype}}}");
+            let err = predict(&mk(&body), &state).unwrap_err();
+            assert!(err.contains("`dtype`"), "dtype {bad_dtype}: {err}");
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! set and reported as samples labelled per wall-second, giving the corpus
 //! build a tracked baseline.
 
-use pulp_energy::{measure_kernels_sharded, measure_kernels_sharded_observed, SweepObserver};
+use pulp_energy::{measure_kernels_sharded, BuildObserver};
 use pulp_energy_model::EnergyModel;
 use pulp_kernels::KernelParams;
 use pulp_obs::{JournalEvent, JournalWriter, LogFormat, Logger};
@@ -550,24 +550,29 @@ fn measure_labeling_throughput(quick: bool, max_cycles: u64) -> LabelingThroughp
     let model = EnergyModel::table1();
     let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let start = Instant::now();
-    let profiles = measure_kernels_sharded(&kernels, &config, &model, max_cycles, threads)
-        .expect("quick kernels must label cleanly");
-    let wall_s = start.elapsed().as_secs_f64();
-
-    let mut journal = JournalWriter::in_memory("bench_sim_labeling", "unseeded", 0);
-    let progress_sink = Logger::to_sink(LogFormat::Text);
-    let observed_start = Instant::now();
-    let observed = measure_kernels_sharded_observed(
+    let profiles = measure_kernels_sharded(
         &kernels,
         &config,
         &model,
         max_cycles,
         threads,
-        SweepObserver {
+        BuildObserver::default(),
+    )
+    .expect("quick kernels must label cleanly");
+    let wall_s = start.elapsed().as_secs_f64();
+
+    let mut journal = JournalWriter::in_memory("bench_sim_labeling", "unseeded", 0);
+    let progress_sink = Logger::to_sink(LogFormat::Text);
+    let observed_start = Instant::now();
+    let observed = measure_kernels_sharded(
+        &kernels,
+        &config,
+        &model,
+        max_cycles,
+        threads,
+        BuildObserver {
             journal: Some(&mut journal),
             logger: Some(&progress_sink),
-            progress: true,
-            ..SweepObserver::default()
         },
     )
     .expect("quick kernels must label cleanly under observation");

@@ -5,8 +5,10 @@
 //! becomes the sample's class label.
 
 use crate::cache::SweepCache;
+use crate::pipeline::BuildObserver;
 use kernel_ir::{lower, Kernel, LowerError};
 use pulp_energy_model::{energy_of, DynamicFeatures, EnergyModel, EnergySummary};
+use pulp_ml::{fan_out, fan_out_shares};
 use pulp_obs::{JournalEvent, JournalWriter, Logger, Recorder};
 use pulp_sim::{
     simulate_opts, ClusterConfig, NoTelemetry, NullSink, SimError, SimOptions, SimScratch,
@@ -15,6 +17,7 @@ use pulp_sim::{
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 use std::time::Instant;
 
 /// Number of classes (team sizes 1..=8 on the paper's cluster).
@@ -162,215 +165,111 @@ pub fn measure_kernel(
     config: &ClusterConfig,
     model: &EnergyModel,
 ) -> Result<EnergyProfile, MeasureError> {
-    measure_kernel_budgeted(kernel, config, model, DEFAULT_MAX_CYCLES)
-}
-
-/// [`measure_kernel`] with an explicit per-run cycle budget
-/// (`--max-cycles` on the dataset binaries).
-///
-/// The 8 per-team-size simulations share one [`SimScratch`], so the sweep
-/// allocates its per-core state vectors once instead of once per run.
-///
-/// # Errors
-///
-/// See [`measure_kernel`]; additionally fails with
-/// [`pulp_sim::SimError::CycleLimit`] when a run exceeds `max_cycles`.
-pub fn measure_kernel_budgeted(
-    kernel: &Kernel,
-    config: &ClusterConfig,
-    model: &EnergyModel,
-    max_cycles: u64,
-) -> Result<EnergyProfile, MeasureError> {
-    measure_kernel_scratch(kernel, config, model, max_cycles, &mut SimScratch::new())
-}
-
-/// [`measure_kernel_budgeted`] with a caller-provided [`SimScratch`].
-///
-/// The sharded sweep driver ([`measure_kernels_sharded`]) hands each worker
-/// thread one scratch that is reused across *all* its kernels and team
-/// sizes, so a multi-thousand-sample labelling run performs a handful of
-/// scratch allocations instead of one per sample.
-///
-/// # Errors
-///
-/// See [`measure_kernel_budgeted`].
-pub fn measure_kernel_scratch(
-    kernel: &Kernel,
-    config: &ClusterConfig,
-    model: &EnergyModel,
-    max_cycles: u64,
-    scratch: &mut SimScratch,
-) -> Result<EnergyProfile, MeasureError> {
-    let mut energy = [0.0; NUM_CLASSES];
-    let mut cycles = [0u64; NUM_CLASSES];
-    let mut dynamic = Vec::with_capacity(NUM_CLASSES);
-    let opts = SimOptions::default().with_max_cycles(max_cycles);
-    for team in 1..=NUM_CLASSES.min(config.num_cores) {
-        let lowered = lower(kernel, team, config)?;
-        let stats = simulate_opts(
-            config,
-            &lowered.program,
-            &opts,
-            &mut NullSink,
-            &mut NoTelemetry,
-            scratch,
-        )?;
-        energy[team - 1] = energy_of(&stats, model, config).total();
-        cycles[team - 1] = stats.cycles;
-        dynamic.push(DynamicFeatures::extract(&stats));
-    }
-    Ok(EnergyProfile {
-        energy,
-        cycles,
-        dynamic,
-    })
-}
-
-/// [`measure_kernel`] with stage telemetry: each team-size simulation gets
-/// a `simulate` span annotated with its cycle count and energy.
-///
-/// # Errors
-///
-/// See [`measure_kernel`].
-pub fn measure_kernel_instrumented(
-    kernel: &Kernel,
-    config: &ClusterConfig,
-    model: &EnergyModel,
-    max_cycles: u64,
-    rec: &mut Recorder,
-) -> Result<EnergyProfile, MeasureError> {
-    measure_kernel_instrumented_scratch(
+    measure_profile(
         kernel,
         config,
         model,
-        max_cycles,
-        rec,
+        DEFAULT_MAX_CYCLES,
+        None,
+        None,
         &mut SimScratch::new(),
     )
 }
 
-/// [`measure_kernel_instrumented`] with a caller-provided [`SimScratch`]
-/// (see [`measure_kernel_scratch`] for why sweeps thread one through).
+/// The one per-kernel measurement behind [`measure_kernel`] and the sweep
+/// driver: simulates `kernel` at every team size under a `max_cycles`
+/// budget (a run exceeding it fails with [`pulp_sim::SimError::CycleLimit`]).
 ///
-/// # Errors
-///
-/// See [`measure_kernel`].
-pub fn measure_kernel_instrumented_scratch(
+/// * `scratch` is reused across all 1..=8 runs (and, in a sweep, across
+///   every kernel a worker measures), so a multi-thousand-sample labelling
+///   run performs a handful of scratch allocations instead of one per run.
+/// * With a `cache`, a valid cached sweep short-circuits all simulator
+///   invocations; a miss (or stale/corrupt entry) recomputes and stores the
+///   fresh sweep atomically. Cache I/O never fails the measurement.
+/// * With a `rec`, each run gets a `simulate` span annotated with its
+///   cycle count and energy, and a cache hit a `cache` span.
+pub(crate) fn measure_profile(
     kernel: &Kernel,
     config: &ClusterConfig,
     model: &EnergyModel,
     max_cycles: u64,
-    rec: &mut Recorder,
+    cache: Option<&SweepCache>,
+    mut rec: Option<&mut Recorder>,
     scratch: &mut SimScratch,
 ) -> Result<EnergyProfile, MeasureError> {
+    let teams = NUM_CLASSES.min(config.num_cores);
+    let keyed = cache.map(|c| (c, c.key(&kernel.sample_id(), config, model)));
+    if let Some((cache, key)) = &keyed {
+        if let Some(summaries) = cache.lookup(key) {
+            let shape_ok = summaries.len() == teams
+                && summaries.iter().enumerate().all(|(i, s)| s.cores == i + 1);
+            if shape_ok {
+                if let Some(rec) = rec {
+                    let span = rec.start_cat(&format!("cache hit {}", kernel.sample_id()), "cache");
+                    rec.end(span);
+                }
+                return Ok(EnergyProfile::from_summaries(&summaries));
+            }
+            // A hash collision or foreign entry of the wrong shape: ignore it
+            // and recompute (the store below overwrites it).
+        }
+    }
     let mut energy = [0.0; NUM_CLASSES];
     let mut cycles = [0u64; NUM_CLASSES];
     let mut dynamic = Vec::with_capacity(NUM_CLASSES);
     let opts = SimOptions::default().with_max_cycles(max_cycles);
-    for team in 1..=NUM_CLASSES.min(config.num_cores) {
-        let span = rec.start_cat(&format!("simulate t{team}"), "simulate");
-        let result = (|| -> Result<_, MeasureError> {
-            let lowered = lower(kernel, team, config)?;
-            let stats = simulate_opts(
-                config,
-                &lowered.program,
-                &opts,
-                &mut NullSink,
-                &mut NoTelemetry,
-                scratch,
-            )?;
-            Ok(stats)
-        })();
+    for team in 1..=teams {
+        let span = rec
+            .as_deref_mut()
+            .map(|r| r.start_cat(&format!("simulate t{team}"), "simulate"));
+        let result = lower(kernel, team, config)
+            .map_err(MeasureError::from)
+            .and_then(|lowered| {
+                simulate_opts(
+                    config,
+                    &lowered.program,
+                    &opts,
+                    &mut NullSink,
+                    &mut NoTelemetry,
+                    scratch,
+                )
+                .map_err(MeasureError::from)
+            });
         let stats = match result {
             Ok(stats) => stats,
             Err(e) => {
-                rec.annotate(span, "error", &e);
-                rec.end(span);
+                if let (Some(rec), Some(span)) = (rec.as_deref_mut(), span) {
+                    rec.annotate(span, "error", &e);
+                    rec.end(span);
+                }
                 return Err(e);
             }
         };
         let fj = energy_of(&stats, model, config).total();
-        rec.annotate(span, "cycles", stats.cycles);
-        rec.annotate(span, "energy_uj", format!("{:.4}", fj * 1e-9));
-        rec.end(span);
+        if let (Some(rec), Some(span)) = (rec.as_deref_mut(), span) {
+            rec.annotate(span, "cycles", stats.cycles);
+            rec.annotate(span, "energy_uj", format!("{:.4}", fj * 1e-9));
+            rec.end(span);
+        }
         energy[team - 1] = fj;
         cycles[team - 1] = stats.cycles;
         dynamic.push(DynamicFeatures::extract(&stats));
     }
-    Ok(EnergyProfile {
+    let profile = EnergyProfile {
         energy,
         cycles,
         dynamic,
-    })
-}
-
-/// [`measure_kernel_instrumented`] behind the content-addressed sweep
-/// cache: a valid cached sweep short-circuits all 1..=8 simulator
-/// invocations; a miss (or stale/corrupt entry) recomputes and stores the
-/// fresh sweep atomically.
-///
-/// # Errors
-///
-/// See [`measure_kernel`]. Cache I/O never fails the measurement — a bad
-/// entry simply falls back to recomputing.
-pub fn measure_kernel_cached(
-    kernel: &Kernel,
-    config: &ClusterConfig,
-    model: &EnergyModel,
-    max_cycles: u64,
-    cache: &SweepCache,
-    rec: &mut Recorder,
-) -> Result<EnergyProfile, MeasureError> {
-    measure_kernel_cached_scratch(
-        kernel,
-        config,
-        model,
-        max_cycles,
-        cache,
-        rec,
-        &mut SimScratch::new(),
-    )
-}
-
-/// [`measure_kernel_cached`] with a caller-provided [`SimScratch`]
-/// (see [`measure_kernel_scratch`]; the scratch is only touched on a miss).
-///
-/// # Errors
-///
-/// See [`measure_kernel`].
-pub fn measure_kernel_cached_scratch(
-    kernel: &Kernel,
-    config: &ClusterConfig,
-    model: &EnergyModel,
-    max_cycles: u64,
-    cache: &SweepCache,
-    rec: &mut Recorder,
-    scratch: &mut SimScratch,
-) -> Result<EnergyProfile, MeasureError> {
-    let sample = kernel.sample_id();
-    let key = cache.key(&sample, config, model);
-    let expected_teams = NUM_CLASSES.min(config.num_cores);
-    if let Some(summaries) = cache.lookup(&key) {
-        let shape_ok = summaries.len() == expected_teams
-            && summaries.iter().enumerate().all(|(i, s)| s.cores == i + 1);
-        if shape_ok {
-            let span = rec.start_cat(&format!("cache hit {sample}"), "cache");
-            rec.end(span);
-            return Ok(EnergyProfile::from_summaries(&summaries));
-        }
-        // A hash collision or foreign entry of the wrong shape: ignore it
-        // and recompute (the store below overwrites it).
+    };
+    if let Some((cache, key)) = &keyed {
+        cache.store(key, &profile.summaries());
     }
-    let profile =
-        measure_kernel_instrumented_scratch(kernel, config, model, max_cycles, rec, scratch)?;
-    cache.store(&key, &profile.summaries());
     Ok(profile)
 }
 
 /// Live progress state for a sharded sweep: one lock-free counter per
 /// shard, bumped by the worker after each kernel. Snapshots are cheap
 /// (relaxed loads) and drive both the `--progress` line and the journal
-/// heartbeats without any lock on the hot measurement loop.
+/// heartbeats; counting takes no lock.
 #[derive(Debug)]
 pub struct SweepProgress {
     total: u64,
@@ -504,260 +403,212 @@ impl SweepSnapshot {
     }
 }
 
-/// Observation hooks for [`measure_kernels_sharded_observed`]: an
-/// optional journal receiving heartbeats and slow-kernel events, an
-/// optional logger for the live progress line, and the heartbeat cadence.
-/// [`SweepObserver::disabled`] turns the observed driver back into the
-/// bare sweep with no per-kernel timing on the hot loop.
-#[derive(Default)]
-pub struct SweepObserver<'a> {
-    /// Receives per-shard heartbeats and slow-kernel events, buffered in
-    /// each worker and merged in shard order after the join (so journal
-    /// writes never touch the measurement loop).
-    pub journal: Option<&'a mut JournalWriter>,
-    /// Sink for the live progress line; `None` with `progress` set falls
-    /// back to a plain-text stderr logger.
-    pub logger: Option<&'a Logger>,
-    /// Emit a throttled `[sweep]` progress line with ETA and straggler
-    /// flags while the sweep runs.
-    pub progress: bool,
-    /// Kernels between heartbeats per shard (`0` = the default of 16).
-    pub heartbeat_every: u64,
-}
-
-impl SweepObserver<'_> {
-    /// No journal, no progress — observation fully off.
-    pub fn disabled() -> SweepObserver<'static> {
-        SweepObserver::default()
-    }
-}
-
+/// Kernels between two journal heartbeats on one shard.
+const HEARTBEAT_EVERY: u64 = 16;
 /// Slow-kernel entries each shard tracks (the report merges and re-ranks
 /// them globally).
 const SLOW_PER_SHARD: usize = 4;
+/// Least gap between two live progress lines.
+const PROGRESS_EVERY_MS: u64 = 200;
 
-/// Sweeps a batch of independent kernels across a scoped worker pool.
+/// Sweeps a batch of independent kernels across a worker pool.
 ///
 /// Labelling is embarrassingly parallel per sample: each kernel's 1..=8
-/// team-size sweep touches no shared state. Workers claim kernels by
-/// round-robin striding (worker `t` measures indices `t, t + threads, ...`),
-/// each reusing one [`SimScratch`] across every run it performs, and the
-/// profiles land in input order — the result is **bit-identical to
-/// sequential measurement at any thread count**, which the unit tests pin
-/// at 1/2/8 threads.
+/// team-size sweep touches no shared state. The kernels go through the
+/// sweep driver (see [`LabeledDataset::build_observed`] for the dataset
+/// form): each worker reuses one [`SimScratch`] across every run it
+/// performs, and the profiles land in input order — the result is
+/// **bit-identical to sequential measurement at any thread count**, which
+/// the unit tests pin at 1/2/8 threads. `threads == 0` uses all available
+/// cores; the count is clamped to the batch size.
 ///
-/// `threads == 0` uses all available cores; the count is clamped to the
-/// batch size.
+/// `obs.journal` receives per-shard heartbeats (kernels done, kernels/s)
+/// and each shard's slowest kernels, merged in shard order after the
+/// sweep; `obs.logger` turns on a throttled `[sweep]` progress line with
+/// ETA and straggler flags. [`BuildObserver::default`] is the bare sweep
+/// with no per-kernel timing on the hot loop. Observation never changes a
+/// profile.
 ///
 /// # Errors
 ///
 /// If any kernels fail, returns the error of the **lowest-indexed** failing
 /// kernel (independent of thread interleaving), as sequential measurement
-/// would.
+/// would. Journal write failures after the sweep are reported to stderr
+/// but do not fail the measurement.
+///
+/// [`LabeledDataset::build_observed`]: crate::pipeline::LabeledDataset::build_observed
 pub fn measure_kernels_sharded(
     kernels: &[Kernel],
     config: &ClusterConfig,
     model: &EnergyModel,
     max_cycles: u64,
     threads: usize,
+    obs: BuildObserver<'_>,
 ) -> Result<Vec<EnergyProfile>, MeasureError> {
-    measure_kernels_sharded_observed(
-        kernels,
-        config,
-        model,
-        max_cycles,
+    let (profiles, _) = sweep(
+        kernels.len(),
         threads,
-        SweepObserver::disabled(),
-    )
+        false,
+        obs.journal,
+        obs.logger,
+        |i, scratch, _| {
+            measure_profile(&kernels[i], config, model, max_cycles, None, None, scratch)
+        },
+        |i, res| {
+            (
+                kernels[i].sample_id(),
+                res.as_ref().map_or(0, |p| p.cycles[0]),
+            )
+        },
+    );
+    profiles
 }
 
-/// [`measure_kernels_sharded`] with observation: per-shard journal
-/// heartbeats (kernels done, kernels/s), per-shard slow-kernel tracking,
-/// and a live throttled progress line with ETA and straggler flags.
+/// One sweep worker's private state, threaded through every sample it
+/// measures.
+struct Shard {
+    index: usize,
+    scratch: SimScratch,
+    rec: Recorder,
+    events: Vec<JournalEvent>,
+    /// `(sample, wall_ms, cycles)` of the slowest samples so far.
+    slow: Vec<(String, f64, u64)>,
+    done: u64,
+    cache_hits: u64,
+}
+
+/// The sweep driver: measures samples `0..n` with `measure` over
+/// [`fan_out`] workers and observes the run.
 ///
-/// The measured profiles are **bit-identical** to the unobserved sweep at
-/// any thread count — observation only adds per-kernel wall timing (and
-/// only when a journal is attached), lock-free progress counts, and
-/// worker-local event buffers written to the journal in shard order after
-/// the join.
+/// Each worker owns a [`SimScratch`] and a [`Recorder`] (returned in worker
+/// order for the caller to merge) and buffers its journal events off the
+/// measurement path; `describe` names a finished sample and its one-core
+/// cycle count for the slow-kernel list and is only called while
+/// journaling. Cache hits are attributed from the `cache` spans `measure`
+/// records; `caching` reports the rest as misses. The journal gets every
+/// shard's heartbeats then its slow kernels, shard by shard, after the
+/// pool joins; `progress` receives throttled `[sweep]` lines from the
+/// workers as they finish samples.
 ///
-/// # Errors
-///
-/// See [`measure_kernels_sharded`]. Journal write failures after the
-/// sweep are reported to stderr but do not fail the measurement.
-pub fn measure_kernels_sharded_observed(
-    kernels: &[Kernel],
-    config: &ClusterConfig,
-    model: &EnergyModel,
-    max_cycles: u64,
+/// Results are collected in index order, so the error returned is always
+/// the lowest-indexed failure.
+pub(crate) fn sweep<T: Send, E: Send>(
+    n: usize,
     threads: usize,
-    obs: SweepObserver<'_>,
-) -> Result<Vec<EnergyProfile>, MeasureError> {
-    if kernels.is_empty() {
-        return Ok(Vec::new());
+    caching: bool,
+    journal: Option<&mut JournalWriter>,
+    progress: Option<&Logger>,
+    measure: impl Fn(usize, &mut SimScratch, &mut Recorder) -> Result<T, E> + Sync,
+    describe: impl Fn(usize, &Result<T, E>) -> (String, u64) + Sync,
+) -> (Result<Vec<T>, E>, Vec<Recorder>) {
+    if n == 0 {
+        return (Ok(Vec::new()), Vec::new());
     }
-    let threads = if threads == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        threads
-    }
-    .min(kernels.len());
-    let journaling = obs.journal.is_some();
-    if threads == 1 && !journaling && !obs.progress {
-        let mut scratch = SimScratch::new();
-        return kernels
-            .iter()
-            .map(|k| measure_kernel_scratch(k, config, model, max_cycles, &mut scratch))
-            .collect();
-    }
-
-    let heartbeat_every = if obs.heartbeat_every == 0 {
-        16
-    } else {
-        obs.heartbeat_every
-    };
-    // Shard `t` owns indices `t, t + threads, ...`.
-    let assigned: Vec<u64> = (0..threads)
-        .map(|t| ((kernels.len() - t).div_ceil(threads)) as u64)
+    let assigned: Vec<u64> = fan_out_shares(n, threads)
+        .into_iter()
+        .map(|a| a as u64)
         .collect();
-    let progress = SweepProgress::new(kernels.len(), threads);
-    let fallback_logger = Logger::new(pulp_obs::LogFormat::Text);
-    let logger: Option<&Logger> = if obs.progress {
-        Some(obs.logger.unwrap_or(&fallback_logger))
-    } else {
-        None
-    };
-
-    let mut profiles: Vec<Option<EnergyProfile>> = vec![None; kernels.len()];
-    let mut first_error: Option<(usize, MeasureError)> = None;
-    let mut shard_events: Vec<Vec<JournalEvent>> = Vec::with_capacity(threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for t in 0..threads {
-            let progress = &progress;
-            handles.push(scope.spawn(move || {
-                let mut scratch = SimScratch::new();
-                let mut out = Vec::new();
-                let mut events: Vec<JournalEvent> = Vec::new();
-                let mut slow: Vec<(String, f64, u64)> = Vec::new();
-                let mut done = 0u64;
-                let shard_total = ((kernels.len() - t).div_ceil(threads)) as u64;
-                let mut i = t;
-                while i < kernels.len() {
-                    let t0 = journaling.then(Instant::now);
-                    let res = measure_kernel_scratch(
-                        &kernels[i],
-                        config,
-                        model,
-                        max_cycles,
-                        &mut scratch,
-                    );
-                    done += 1;
-                    if let Some(t0) = t0 {
-                        let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-                        let cycles = res.as_ref().map_or(0, |p| p.cycles[0]);
-                        slow.push((kernels[i].sample_id(), wall_ms, cycles));
-                        if slow.len() > SLOW_PER_SHARD {
-                            // Keep the SLOW_PER_SHARD largest by wall time.
-                            slow.sort_by(|a, b| {
-                                b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal)
-                            });
-                            slow.truncate(SLOW_PER_SHARD);
-                        }
-                        if done.is_multiple_of(heartbeat_every) || done == shard_total {
-                            let elapsed_ms = progress.elapsed_ms();
-                            let elapsed_s = elapsed_ms as f64 / 1e3;
-                            events.push(JournalEvent::Heartbeat {
-                                shard: t as u64,
-                                done,
-                                assigned: shard_total,
-                                elapsed_ms,
-                                kernels_per_s: if elapsed_s > 0.0 {
-                                    done as f64 / elapsed_s
-                                } else {
-                                    0.0
-                                },
-                                cache_hits: 0,
-                                cache_misses: 0,
-                            });
-                        }
-                    }
-                    out.push((i, res));
-                    progress.record(t);
-                    i += threads;
-                }
-                slow.sort_by(|a, b| {
-                    b.1.partial_cmp(&a.1)
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                        .then(a.0.cmp(&b.0))
-                });
-                for (sample, wall_ms, cycles) in slow {
-                    events.push(JournalEvent::SlowKernel {
-                        sample,
-                        wall_ms,
-                        cycles,
-                    });
-                }
-                (out, events)
-            }));
-        }
-        let monitor = logger.map(|log| {
-            let progress = &progress;
-            let assigned = &assigned;
-            scope.spawn(move || {
-                let mut last = u64::MAX;
-                loop {
-                    let snap = progress.snapshot();
-                    if snap.done() != last {
-                        last = snap.done();
-                        log.info(
-                            "sweep",
-                            &format!("measured {}/{}", snap.done(), snap.total),
-                            &snap.progress_fields(assigned),
-                        );
-                    }
-                    if snap.done() >= snap.total {
-                        break;
-                    }
-                    // Parked, not slept: the join path unparks us the moment
-                    // the last worker finishes, so a short sweep never pays a
-                    // full monitor tick of extra wall time. An unpark that
-                    // races ahead of the park is stored, not lost.
-                    std::thread::park_timeout(std::time::Duration::from_millis(200));
-                }
-            })
+    let counts = SweepProgress::new(n, assigned.len());
+    let journaling = journal.is_some();
+    // `(done, elapsed_ms)` at the last progress line; the lock keeps the
+    // printed counts monotonic, so the last line always reports `n/n`.
+    let last_line: Mutex<Option<(u64, u64)>> = Mutex::new(None);
+    let report = || {
+        let Some(log) = progress else { return };
+        let mut last = last_line.lock().expect("progress lock poisoned");
+        let snap = counts.snapshot();
+        let now = counts.elapsed_ms();
+        let due = last.is_none_or(|(done, at)| {
+            snap.done() != done && (snap.done() == snap.total || now >= at + PROGRESS_EVERY_MS)
         });
-        for h in handles {
-            let (results, events) = h.join().expect("sharded sweep worker panicked");
-            shard_events.push(events);
-            for (i, res) in results {
-                match res {
-                    Ok(p) => profiles[i] = Some(p),
-                    Err(e) => {
-                        if first_error.as_ref().is_none_or(|(j, _)| i < *j) {
-                            first_error = Some((i, e));
-                        }
-                    }
-                }
+        if due {
+            log.info(
+                "sweep",
+                &format!("measured {}/{}", snap.done(), snap.total),
+                &snap.progress_fields(&assigned),
+            );
+            *last = Some((snap.done(), now));
+        }
+    };
+    report();
+    let init = |index| Shard {
+        index,
+        scratch: SimScratch::new(),
+        rec: Recorder::new(),
+        events: Vec::new(),
+        slow: Vec::new(),
+        done: 0,
+        cache_hits: 0,
+    };
+    let (results, shards) = fan_out(n, threads, init, |shard: &mut Shard, i| {
+        let spans_before = shard.rec.spans().len();
+        let t0 = journaling.then(Instant::now);
+        let res = measure(i, &mut shard.scratch, &mut shard.rec);
+        shard.done += 1;
+        if let Some(t0) = t0 {
+            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
+            if shard.rec.spans()[spans_before..]
+                .iter()
+                .any(|s| s.cat == "cache")
+            {
+                shard.cache_hits += 1;
+            }
+            let (sample, cycles) = describe(i, &res);
+            shard.slow.push((sample, wall_ms, cycles));
+            if shard.slow.len() > SLOW_PER_SHARD {
+                shard
+                    .slow
+                    .sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+                shard.slow.truncate(SLOW_PER_SHARD);
+            }
+            let (done, assigned) = (shard.done, assigned[shard.index]);
+            if done.is_multiple_of(HEARTBEAT_EVERY) || done == assigned {
+                let elapsed_ms = counts.elapsed_ms();
+                let elapsed_s = elapsed_ms as f64 / 1e3;
+                shard.events.push(JournalEvent::Heartbeat {
+                    shard: shard.index as u64,
+                    done,
+                    assigned,
+                    elapsed_ms,
+                    kernels_per_s: if elapsed_s > 0.0 {
+                        done as f64 / elapsed_s
+                    } else {
+                        0.0
+                    },
+                    cache_hits: shard.cache_hits,
+                    cache_misses: if caching { done - shard.cache_hits } else { 0 },
+                });
             }
         }
-        if let Some(m) = &monitor {
-            m.thread().unpark();
-        }
+        counts.record(shard.index);
+        report();
+        res
     });
-    if let Some(journal) = obs.journal {
+    let mut events = Vec::new();
+    let mut recorders = Vec::with_capacity(shards.len());
+    for mut shard in shards {
+        shard.slow.sort_by(|a, b| {
+            b.1.partial_cmp(&a.1)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(a.0.cmp(&b.0))
+        });
+        events.append(&mut shard.events);
+        events.extend(shard.slow.into_iter().map(|(sample, wall_ms, cycles)| {
+            JournalEvent::SlowKernel {
+                sample,
+                wall_ms,
+                cycles,
+            }
+        }));
+        recorders.push(shard.rec);
+    }
+    if let Some(journal) = journal {
         // Deterministic merge: shard 0's buffer first, then shard 1's, ...
-        if let Err(e) = journal.events(shard_events.into_iter().flatten()) {
+        if let Err(e) = journal.events(events) {
             eprintln!("[sweep] warning: journal write failed: {e}");
         }
     }
-    if let Some((_, e)) = first_error {
-        return Err(e);
-    }
-    Ok(profiles
-        .into_iter()
-        .map(|p| p.expect("all kernels measured"))
-        .collect())
+    (results.into_iter().collect(), recorders)
 }
 
 #[cfg(test)]
@@ -889,19 +740,30 @@ mod tests {
             .map(|k| measure_kernel(k, &config, &model).expect("sequential"))
             .collect();
         for threads in [1usize, 2, 8] {
-            let sharded =
-                measure_kernels_sharded(&kernels, &config, &model, DEFAULT_MAX_CYCLES, threads)
-                    .expect("sharded");
+            let sharded = measure_kernels_sharded(
+                &kernels,
+                &config,
+                &model,
+                DEFAULT_MAX_CYCLES,
+                threads,
+                BuildObserver::default(),
+            )
+            .expect("sharded");
             assert_eq!(
                 sharded, sequential,
                 "sharding across {threads} threads must not change any profile"
             );
         }
-        assert!(
-            measure_kernels_sharded(&[], &config, &model, DEFAULT_MAX_CYCLES, 4)
-                .expect("empty batch")
-                .is_empty()
-        );
+        assert!(measure_kernels_sharded(
+            &[],
+            &config,
+            &model,
+            DEFAULT_MAX_CYCLES,
+            4,
+            BuildObserver::default()
+        )
+        .expect("empty batch")
+        .is_empty());
     }
 
     #[test]
@@ -913,21 +775,26 @@ mod tests {
             .iter()
             .map(|&n| compute_kernel(n))
             .collect();
-        let plain = measure_kernels_sharded(&kernels, &config, &model, DEFAULT_MAX_CYCLES, 2)
-            .expect("plain");
+        let plain = measure_kernels_sharded(
+            &kernels,
+            &config,
+            &model,
+            DEFAULT_MAX_CYCLES,
+            2,
+            BuildObserver::default(),
+        )
+        .expect("plain");
         for threads in [1usize, 2, 8] {
             let mut journal = JournalWriter::in_memory("test_sweep", "cafe", 7);
-            let observed = measure_kernels_sharded_observed(
+            let observed = measure_kernels_sharded(
                 &kernels,
                 &config,
                 &model,
                 DEFAULT_MAX_CYCLES,
                 threads,
-                SweepObserver {
+                BuildObserver {
                     journal: Some(&mut journal),
                     logger: None,
-                    progress: false,
-                    heartbeat_every: 4,
                 },
             )
             .expect("observed");
@@ -983,17 +850,15 @@ mod tests {
         let model = EnergyModel::table1();
         let kernels: Vec<Kernel> = (0..4).map(|i| compute_kernel(64 + i * 32)).collect();
         let log = Logger::to_sink(LogFormat::Text);
-        measure_kernels_sharded_observed(
+        measure_kernels_sharded(
             &kernels,
             &config,
             &model,
             DEFAULT_MAX_CYCLES,
             2,
-            SweepObserver {
+            BuildObserver {
                 journal: None,
                 logger: Some(&log),
-                progress: true,
-                heartbeat_every: 0,
             },
         )
         .expect("observed");
@@ -1064,10 +929,19 @@ mod tests {
         let config = ClusterConfig::default();
         let model = EnergyModel::table1();
         let kernels: Vec<Kernel> = (0..6).map(|i| compute_kernel(64 + i * 32)).collect();
-        let err = measure_kernels_sharded(&kernels, &config, &model, 1, 3)
-            .expect_err("1-cycle budget must fail");
-        let seq_err = measure_kernel_budgeted(&kernels[0], &config, &model, 1)
-            .expect_err("sequential fails too");
+        let err =
+            measure_kernels_sharded(&kernels, &config, &model, 1, 3, BuildObserver::default())
+                .expect_err("1-cycle budget must fail");
+        let seq_err = measure_profile(
+            &kernels[0],
+            &config,
+            &model,
+            1,
+            None,
+            None,
+            &mut SimScratch::new(),
+        )
+        .expect_err("sequential fails too");
         assert_eq!(format!("{err}"), format!("{seq_err}"));
     }
 
@@ -1085,23 +959,25 @@ mod tests {
         let kernel = compute_kernel(256);
 
         let mut rec = Recorder::new();
-        let cold = measure_kernel_cached(
+        let cold = measure_profile(
             &kernel,
             &config,
             &model,
             DEFAULT_MAX_CYCLES,
-            &cache,
-            &mut rec,
+            Some(&cache),
+            Some(&mut rec),
+            &mut SimScratch::new(),
         )
         .expect("cold run");
         let mut rec = Recorder::new();
-        let warm = measure_kernel_cached(
+        let warm = measure_profile(
             &kernel,
             &config,
             &model,
             DEFAULT_MAX_CYCLES,
-            &cache,
-            &mut rec,
+            Some(&cache),
+            Some(&mut rec),
+            &mut SimScratch::new(),
         )
         .expect("warm run");
         assert_eq!(cold, warm, "cache round-trip must be bit-identical");

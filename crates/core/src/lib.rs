@@ -68,10 +68,8 @@ pub use features::{
     StaticFeatureSet,
 };
 pub use labeling::{
-    measure_kernel, measure_kernel_budgeted, measure_kernel_cached, measure_kernel_cached_scratch,
-    measure_kernel_instrumented, measure_kernel_instrumented_scratch, measure_kernel_scratch,
-    measure_kernels_sharded, measure_kernels_sharded_observed, EnergyProfile, MeasureError,
-    SweepObserver, SweepProgress, SweepSnapshot, NUM_CLASSES,
+    measure_kernel, measure_kernels_sharded, EnergyProfile, MeasureError, SweepProgress,
+    SweepSnapshot, NUM_CLASSES,
 };
 pub use manifest::RunManifest;
 pub use pipeline::{

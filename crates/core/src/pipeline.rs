@@ -11,10 +11,7 @@ use crate::features::{
     dynamic_feature_names, dynamic_feature_vector, static_feature_names, static_feature_vector,
     StaticFeatureSet,
 };
-use crate::labeling::{
-    measure_kernel_cached_scratch, measure_kernel_instrumented_scratch, MeasureError,
-    SweepProgress, NUM_CLASSES,
-};
+use crate::labeling::{measure_profile, sweep, MeasureError, NUM_CLASSES};
 use kernel_ir::{DType, Suite, ValidateKernelError};
 use pulp_energy_model::EnergyModel;
 use pulp_kernels::{all_samples, registry, KernelDef, SampleSpec, PAYLOAD_SIZES};
@@ -79,24 +76,23 @@ impl PipelineOptions {
     }
 }
 
-/// Observation hooks for [`LabeledDataset::build_observed`]: an optional
-/// run journal receiving stage/heartbeat/cache/slow-kernel events, and an
-/// optional logger for the live `--progress` line. The default observer
-/// (no journal, no logger) keeps per-kernel timing off the hot loop
-/// entirely.
+/// Observation hooks for the sweep driver, taken by
+/// [`LabeledDataset::build_observed`] and
+/// [`measure_kernels_sharded`](crate::labeling::measure_kernels_sharded):
+/// an optional run journal receiving heartbeat/slow-kernel events (plus
+/// stage and cache events from the dataset build), and an optional logger
+/// for the live `[sweep]` progress line. The default observer (no journal,
+/// no logger) keeps per-kernel timing off the hot loop entirely.
 #[derive(Default)]
 pub struct BuildObserver<'a> {
     /// Durable event log for the build (see [`pulp_obs::journal`]).
     pub journal: Option<&'a mut JournalWriter>,
-    /// Sink for progress lines; `None` with `opts.progress` set falls
-    /// back to a plain-text stderr logger.
+    /// Sink for progress lines. The dataset build prints them only with
+    /// `opts.progress` set (falling back to a plain-text stderr logger when
+    /// this is `None`); the kernel-batch sweep prints them whenever a
+    /// logger is given.
     pub logger: Option<&'a Logger>,
 }
-
-/// Samples between journal heartbeats per worker.
-const PIPELINE_HEARTBEAT_EVERY: u64 = 16;
-/// Slow-sample entries each worker tracks for the journal.
-const PIPELINE_SLOW_PER_SHARD: usize = 4;
 
 /// Errors produced while building the dataset.
 #[derive(Debug, Clone, PartialEq)]
@@ -285,13 +281,6 @@ impl LabeledDataset {
             return Err(BuildDatasetError::EmptySelection);
         }
 
-        let threads = if opts.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            opts.threads
-        }
-        .min(specs.len());
-
         let stage_t0 = Instant::now();
         stage_guard(
             &mut journal,
@@ -300,161 +289,28 @@ impl LabeledDataset {
             },
         );
         let measure = rec.start_cat("measure", "stage");
-        rec.annotate(measure, "threads", threads);
-        let total = specs.len();
-        let journaling = journal.is_some();
-        let caching = opts.cache.is_some();
-        // Shard `t` owns indices `t, t + threads, ...`.
-        let assigned: Vec<u64> = (0..threads)
-            .map(|t| ((total - t).div_ceil(threads)) as u64)
-            .collect();
-        let progress = SweepProgress::new(total, threads);
         let fallback_logger = Logger::new(LogFormat::Text);
-        let progress_logger: Option<&Logger> = if opts.progress {
-            Some(logger.unwrap_or(&fallback_logger))
-        } else {
-            None
-        };
-        let mut samples: Vec<Option<SampleRecord>> = vec![None; specs.len()];
-        let mut first_error: Option<BuildDatasetError> = None;
-        let mut shard_events: Vec<Vec<JournalEvent>> = Vec::with_capacity(threads);
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                let specs = &specs;
-                let defs = &defs;
-                let opts_ref = &*opts;
-                let progress = &progress;
-                handles.push(scope.spawn(move || {
-                    let mut worker_rec = Recorder::new();
-                    // One simulator scratch per worker, reused across every
-                    // sample and team size this worker measures.
-                    let mut scratch = SimScratch::new();
-                    let mut out = Vec::new();
-                    let mut events: Vec<JournalEvent> = Vec::new();
-                    let mut slow: Vec<(String, f64, u64)> = Vec::new();
-                    let mut done = 0u64;
-                    let mut cache_hits = 0u64;
-                    let shard_total = ((specs.len() - t).div_ceil(threads)) as u64;
-                    let mut i = t;
-                    while i < specs.len() {
-                        let spans_before = worker_rec.spans().len();
-                        let t0 = journaling.then(Instant::now);
-                        let res = measure_one_instrumented(
-                            &specs[i],
-                            &defs[specs[i].kernel_index],
-                            opts_ref,
-                            &mut worker_rec,
-                            &mut scratch,
-                        );
-                        done += 1;
-                        if let Some(t0) = t0 {
-                            let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-                            let new_spans = &worker_rec.spans()[spans_before..];
-                            if new_spans.iter().any(|s| s.cat == "cache") {
-                                cache_hits += 1;
-                            }
-                            let cycles = res.as_ref().map_or(0, |r| r.cycles[0]);
-                            let sample = res.as_ref().map_or_else(
-                                |_| defs[specs[i].kernel_index].name.to_string(),
-                                |r| r.id.clone(),
-                            );
-                            slow.push((sample, wall_ms, cycles));
-                            if slow.len() > PIPELINE_SLOW_PER_SHARD {
-                                slow.sort_by(|a, b| {
-                                    b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal)
-                                });
-                                slow.truncate(PIPELINE_SLOW_PER_SHARD);
-                            }
-                            if done.is_multiple_of(PIPELINE_HEARTBEAT_EVERY) || done == shard_total
-                            {
-                                let elapsed_ms = progress.elapsed_ms();
-                                let elapsed_s = elapsed_ms as f64 / 1e3;
-                                events.push(JournalEvent::Heartbeat {
-                                    shard: t as u64,
-                                    done,
-                                    assigned: shard_total,
-                                    elapsed_ms,
-                                    kernels_per_s: if elapsed_s > 0.0 {
-                                        done as f64 / elapsed_s
-                                    } else {
-                                        0.0
-                                    },
-                                    cache_hits,
-                                    cache_misses: if caching { done - cache_hits } else { 0 },
-                                });
-                            }
-                        }
-                        out.push((i, res));
-                        progress.record(t);
-                        i += threads;
-                    }
-                    slow.sort_by(|a, b| {
-                        b.1.partial_cmp(&a.1)
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                            .then(a.0.cmp(&b.0))
-                    });
-                    for (sample, wall_ms, cycles) in slow {
-                        events.push(JournalEvent::SlowKernel {
-                            sample,
-                            wall_ms,
-                            cycles,
-                        });
-                    }
-                    (out, events, worker_rec)
-                }));
-            }
-            let monitor = progress_logger.map(|log| {
-                let progress = &progress;
-                let assigned = &assigned;
-                scope.spawn(move || {
-                    let mut last = u64::MAX;
-                    loop {
-                        let snap = progress.snapshot();
-                        if snap.done() != last {
-                            last = snap.done();
-                            log.info(
-                                "sweep",
-                                &format!("measured {}/{}", snap.done(), snap.total),
-                                &snap.progress_fields(assigned),
-                            );
-                        }
-                        if snap.done() >= snap.total {
-                            break;
-                        }
-                        // Parked, not slept: the join path unparks us as soon
-                        // as the last worker finishes, so short builds never
-                        // pay a full monitor tick of extra wall time.
-                        std::thread::park_timeout(std::time::Duration::from_millis(200));
-                    }
-                })
-            });
-            for h in handles {
-                let (results, events, worker_rec) = h.join().expect("worker panicked");
-                rec.merge(worker_rec);
-                shard_events.push(events);
-                for (i, res) in results {
-                    match res {
-                        Ok(record) => samples[i] = Some(record),
-                        Err(e) => {
-                            if first_error.is_none() {
-                                first_error = Some(e);
-                            }
-                        }
-                    }
-                }
-            }
-            if let Some(m) = &monitor {
-                m.thread().unpark();
-            }
-        });
-        rec.counter("pipeline/samples", progress.snapshot().done() as f64);
-        if let Some(j) = &mut journal {
-            // Deterministic merge: shard 0's buffer first, then shard 1's.
-            if let Err(e) = j.events(shard_events.into_iter().flatten()) {
-                eprintln!("[pipeline] warning: journal write failed: {e}");
-            }
+        let progress = opts.progress.then(|| logger.unwrap_or(&fallback_logger));
+        let (samples, worker_recs) = sweep(
+            specs.len(),
+            opts.threads,
+            opts.cache.is_some(),
+            journal.as_deref_mut(),
+            progress,
+            |i, scratch, rec| {
+                let def = &defs[specs[i].kernel_index];
+                measure_one(&specs[i], def, opts, rec, scratch)
+            },
+            |i, res| match res {
+                Ok(r) => (r.id.clone(), r.cycles[0]),
+                Err(_) => (defs[specs[i].kernel_index].name.to_string(), 0),
+            },
+        );
+        rec.annotate(measure, "threads", worker_recs.len());
+        for worker_rec in worker_recs {
+            rec.merge(worker_rec);
         }
+        rec.counter("pipeline/samples", specs.len() as f64);
         if let Some(cache) = &opts.cache {
             cache.record(rec);
             let stats = cache.stats();
@@ -475,9 +331,7 @@ impl LabeledDataset {
                 wall_ms: stage_t0.elapsed().as_secs_f64() * 1e3,
             },
         );
-        if let Some(e) = first_error {
-            return Err(e);
-        }
+        let samples = samples?;
         let stage_t0 = Instant::now();
         stage_guard(
             &mut journal,
@@ -486,12 +340,7 @@ impl LabeledDataset {
             },
         );
         let assemble = rec.start_cat("assemble", "stage");
-        let out = Self {
-            samples: samples
-                .into_iter()
-                .map(|s| s.expect("all filled"))
-                .collect(),
-        };
+        let out = Self { samples };
         rec.end(assemble);
         stage_guard(
             &mut journal,
@@ -579,7 +428,7 @@ impl LabeledDataset {
     }
 }
 
-fn measure_one_instrumented(
+fn measure_one(
     spec: &SampleSpec,
     def: &KernelDef,
     opts: &PipelineOptions,
@@ -597,25 +446,15 @@ fn measure_one_instrumented(
             source,
         })?;
     let span = rec.start_cat(&kernel.sample_id(), "sample");
-    let measured = match &opts.cache {
-        Some(cache) => measure_kernel_cached_scratch(
-            &kernel,
-            &opts.config,
-            &opts.model,
-            opts.max_cycles,
-            cache,
-            rec,
-            scratch,
-        ),
-        None => measure_kernel_instrumented_scratch(
-            &kernel,
-            &opts.config,
-            &opts.model,
-            opts.max_cycles,
-            rec,
-            scratch,
-        ),
-    };
+    let measured = measure_profile(
+        &kernel,
+        &opts.config,
+        &opts.model,
+        opts.max_cycles,
+        opts.cache.as_deref(),
+        Some(&mut *rec),
+        scratch,
+    );
     let profile = match measured {
         Ok(p) => p,
         Err(source) => {
@@ -706,6 +545,23 @@ mod tests {
         opts.threads = 4;
         let d4 = LabeledDataset::build(&opts).expect("build");
         assert_eq!(d1, d4);
+    }
+
+    #[test]
+    fn build_error_is_the_lowest_indexed_failure_at_any_thread_count() {
+        // This budget fails gemm/i32/2048 (sample 1) and fpu_storm/i32/512
+        // (sample 12), which sit on different shards at 2 and 4 threads.
+        let mut opts = PipelineOptions::quick(&["vec_scale", "fpu_storm", "bank_hammer", "gemm"]);
+        opts.max_cycles = 5182;
+        for threads in [1, 2, 4] {
+            opts.threads = threads;
+            match LabeledDataset::build(&opts) {
+                Err(BuildDatasetError::Measure { sample, .. }) => {
+                    assert_eq!(sample, "polybench/gemm/i32/2048", "{threads} threads");
+                }
+                other => panic!("expected a cycle-limit failure, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //! The paper evaluates every classifier with "10-fold stratified
 //! cross-validation ... repeated 100 times with random seeds, for ensuring
 //! to get unbiased accuracy results". This module implements that exact
-//! protocol, fanning the seeded repetitions out over a scoped worker pool:
-//! each repetition derives its RNG purely from its own seed, so the
-//! predictions are bit-identical at any thread count.
+//! protocol, fanning the seeded repetitions out with [`fan_out`]: each
+//! repetition derives its RNG purely from its own seed, so the predictions
+//! are bit-identical at any thread count.
 
 use crate::dataset::Dataset;
+use crate::par::fan_out;
 use pulp_obs::Recorder;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -119,17 +120,6 @@ pub fn cross_val_predict<C: Classifier>(
     predictions
 }
 
-/// Picks the worker count for `jobs` independent jobs: `0` means all
-/// available cores, and the result never exceeds the job count.
-fn resolve_threads(requested: usize, jobs: usize) -> usize {
-    let t = if requested == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    } else {
-        requested
-    };
-    t.clamp(1, jobs.max(1))
-}
-
 /// Runs [`cross_val_predict`] `repeats` times with seeds `0..repeats`
 /// (offset by `base_seed`) fanned out over `threads` workers (`0` = all
 /// cores), returning each repetition's predictions in repetition order.
@@ -165,94 +155,24 @@ pub fn repeated_cross_val_predict_instrumented<C: Classifier>(
     if repeats == 0 {
         return Vec::new();
     }
-    let threads = resolve_threads(threads, repeats);
-    let run_rep = |r: usize, worker_rec: &mut Recorder| {
-        let seed = base_seed + r as u64;
-        let span = worker_rec.start_cat(&format!("cv rep {r}"), "cv");
-        worker_rec.annotate(span, "seed", seed);
-        let preds = cross_val_predict(data, k, seed, || make(seed));
-        worker_rec.end(span);
-        preds
-    };
-    let mut out: Vec<Option<Vec<usize>>> = vec![None; repeats];
-    if threads == 1 {
-        for (r, slot) in out.iter_mut().enumerate() {
-            *slot = Some(run_rep(r, rec));
-        }
-    } else {
-        let run_rep = &run_rep;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                handles.push(scope.spawn(move || {
-                    let mut worker_rec = Recorder::new();
-                    let mut results = Vec::new();
-                    let mut r = t;
-                    while r < repeats {
-                        results.push((r, run_rep(r, &mut worker_rec)));
-                        r += threads;
-                    }
-                    (results, worker_rec)
-                }));
-            }
-            for h in handles {
-                let (results, worker_rec) = h.join().expect("CV worker panicked");
-                rec.merge(worker_rec);
-                for (r, preds) in results {
-                    out[r] = Some(preds);
-                }
-            }
-        });
+    let (out, worker_recs) = fan_out(
+        repeats,
+        threads,
+        |_| Recorder::new(),
+        |worker_rec, r| {
+            let seed = base_seed + r as u64;
+            let span = worker_rec.start_cat(&format!("cv rep {r}"), "cv");
+            worker_rec.annotate(span, "seed", seed);
+            let preds = cross_val_predict(data, k, seed, || make(seed));
+            worker_rec.end(span);
+            preds
+        },
+    );
+    for worker_rec in worker_recs {
+        rec.merge(worker_rec);
     }
     rec.counter("cv/repetitions", repeats as f64);
-    out.into_iter()
-        .map(|p| p.expect("all repetitions filled"))
-        .collect()
-}
-
-/// Fans `n` independent seeded jobs out over `threads` workers (`0` = all
-/// cores), returning `f(0), f(1), ..., f(n - 1)` in index order.
-///
-/// The same round-robin scoped-pool pattern [`repeated_cross_val_predict`]
-/// uses, exposed for experiment loops (e.g. the learning-curve harness)
-/// whose per-seed work does not fit the [`Classifier`] shape. `f` must
-/// derive all randomness from its index argument to stay deterministic
-/// across thread counts.
-pub fn parallel_seeds<T: Send>(n: usize, threads: usize, f: impl Fn(usize) -> T + Sync) -> Vec<T> {
-    let threads = resolve_threads(threads, n);
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    if threads == 1 {
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = Some(f(i));
-        }
-    } else {
-        let f = &f;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                handles.push(scope.spawn(move || {
-                    let mut results = Vec::new();
-                    let mut i = t;
-                    while i < n {
-                        results.push((i, f(i)));
-                        i += threads;
-                    }
-                    results
-                }));
-            }
-            for h in handles {
-                for (i, v) in h.join().expect("seed worker panicked") {
-                    out[i] = Some(v);
-                }
-            }
-        });
-    }
-    out.into_iter()
-        .map(|v| v.expect("all jobs filled"))
-        .collect()
+    out
 }
 
 #[cfg(test)]
@@ -467,13 +387,5 @@ mod tests {
         assert_eq!(cv_spans, 6);
         let last = rec.counters()["cv/repetitions"].last().expect("counter");
         assert_eq!(last.value, 6.0);
-    }
-
-    #[test]
-    fn parallel_seeds_preserves_index_order() {
-        let out = parallel_seeds(17, 4, |i| i * i);
-        assert_eq!(out, (0..17).map(|i| i * i).collect::<Vec<_>>());
-        assert_eq!(parallel_seeds(0, 4, |i| i), Vec::<usize>::new());
-        assert_eq!(parallel_seeds(3, 0, |i| i), vec![0, 1, 2]);
     }
 }

@@ -14,6 +14,9 @@
 //! * stratified k-fold cross-validation with seeded repetitions
 //!   ([`cv::cross_val_predict`]), matching the paper's "10-fold stratified
 //!   cross-validation repeated 100 times with random seeds";
+//! * a deterministic fan-out ([`fan_out`]) that spreads independent jobs
+//!   (CV repetitions, the labelling sweep) over worker threads and returns
+//!   results by input index;
 //! * plain and *energy-tolerance* accuracy
 //!   ([`metrics::tolerance_accuracy`]) — the evaluation axis of Figure 2.
 //!
@@ -42,12 +45,13 @@ pub mod forest;
 pub mod gbt;
 pub mod knn;
 pub mod metrics;
+pub mod par;
 pub mod split;
 pub mod tree;
 
 pub use cv::{
-    cross_val_predict, parallel_seeds, repeated_cross_val_predict,
-    repeated_cross_val_predict_instrumented, stratified_folds, Classifier,
+    cross_val_predict, repeated_cross_val_predict, repeated_cross_val_predict_instrumented,
+    stratified_folds, Classifier,
 };
 pub use dataset::{Dataset, DatasetError};
 pub use flat::{FlatModel, MAX_SCALE_BITS};
@@ -57,5 +61,6 @@ pub use knn::{KNearestNeighbors, KnnParams};
 pub use metrics::{
     accuracy, class_scores, confusion_matrix, mean_std, tolerance_accuracy, ClassScore,
 };
+pub use par::{fan_out, fan_out_shares};
 pub use split::{entropy, gini, Criterion, Split};
 pub use tree::{DecisionTree, NodeView, TreeParams};
