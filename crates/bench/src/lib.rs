@@ -46,7 +46,8 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Usage text printed when a common flag is given an invalid value.
+/// Usage text printed for `--help` and when a common flag is given an
+/// invalid value.
 pub const COMMON_USAGE: &str = "common options:
   --quick             reduced dataset + reduced CV protocol
   --json <path>       dump the machine-readable record to <path>
@@ -90,6 +91,8 @@ pub struct CommonArgs {
     pub max_cycles: Option<u64>,
     /// Run-journal output path (`--journal`); `None` = no journal.
     pub journal: Option<PathBuf>,
+    /// Print the usage and exit without running anything (`--help`/`-h`).
+    pub help: bool,
 }
 
 fn flag_value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
@@ -116,9 +119,14 @@ fn positive_u64_value(args: &mut impl Iterator<Item = String>, flag: &str) -> Re
 impl CommonArgs {
     /// Parses `std::env::args`; invalid values for known flags print the
     /// usage message and exit with status 2 instead of panicking or being
-    /// silently replaced by a default.
+    /// silently replaced by a default. `--help`/`-h` prints the usage to
+    /// stdout and exits 0 before anything runs.
     pub fn parse() -> Self {
         match Self::parse_from(std::env::args().skip(1)) {
+            Ok(args) if args.help => {
+                println!("{COMMON_USAGE}");
+                std::process::exit(0);
+            }
             Ok(args) => args,
             Err(msg) => {
                 eprintln!("error: {msg}\n\n{COMMON_USAGE}");
@@ -161,6 +169,7 @@ impl CommonArgs {
                 "--journal" => {
                     out.journal = Some(PathBuf::from(flag_value(&mut args, "--journal")?));
                 }
+                "--help" | "-h" => out.help = true,
                 _ => {}
             }
         }
@@ -368,8 +377,8 @@ pub fn load_or_build_dataset(opts: &PipelineOptions, args: &CommonArgs) -> Label
 
 /// [`load_or_build_dataset`] with an optional run journal: the build's
 /// stage events, per-shard heartbeats, slow kernels and cache attribution
-/// are appended to `journal`, and the `--progress` line (with ETA and
-/// straggler flags) goes through the binary's [`Logger`] — so `--log-json`
+/// are appended to `journal`, and the `--progress` line (with rate and
+/// ETA) goes through the binary's [`Logger`] — so `--log-json`
 /// yields machine-readable progress too. A dataset reused from the coarse
 /// JSON cache journals a `dataset_load` stage instead of a build.
 ///
@@ -575,6 +584,18 @@ mod tests {
         assert!(err.contains("--cache-dir"), "{err}");
         let err = parse(&["--json"]).unwrap_err();
         assert!(err.contains("--json"), "{err}");
+    }
+
+    #[test]
+    fn parser_recognises_help() {
+        // Regression: `headline --help` used to run the whole benchmark.
+        for flag in ["--help", "-h"] {
+            let args = parse(&["--quick", flag, "--threads", "2"]).expect("valid");
+            assert!(args.help, "{flag}");
+        }
+        assert!(!parse(&["--quick"]).expect("valid").help);
+        // A malformed known flag is still an error, help or not.
+        assert!(parse(&["--help", "--threads", "banana"]).is_err());
     }
 
     #[test]

@@ -8,7 +8,7 @@ use crate::cache::SweepCache;
 use crate::pipeline::BuildObserver;
 use kernel_ir::{lower, Kernel, LowerError};
 use pulp_energy_model::{energy_of, DynamicFeatures, EnergyModel, EnergySummary};
-use pulp_ml::{fan_out, fan_out_shares};
+use pulp_ml::{fan_out, fan_out_workers};
 use pulp_obs::{JournalEvent, JournalWriter, Logger, Recorder};
 use pulp_sim::{
     simulate_opts, ClusterConfig, NoTelemetry, NullSink, SimError, SimOptions, SimScratch,
@@ -317,7 +317,7 @@ impl SweepProgress {
 }
 
 /// A point-in-time view of a [`SweepProgress`]. Plain data — the derived
-/// quantities (rate, ETA, stragglers) are pure functions of the fields,
+/// quantities (rate, ETA) are pure functions of the fields,
 /// so the unit tests exercise them without any timing dependence.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSnapshot {
@@ -358,48 +358,19 @@ impl SweepSnapshot {
         }
     }
 
-    /// Shards more than 2× the median behind: shard `s` is a straggler
-    /// when its remaining work exceeds twice the (lower) median remaining
-    /// across all shards. `assigned[s]` is the kernel count shard `s`
-    /// owns.
-    pub fn stragglers(&self, assigned: &[u64]) -> Vec<usize> {
-        let remaining: Vec<u64> = assigned
-            .iter()
-            .zip(&self.shard_done)
-            .map(|(a, d)| a.saturating_sub(*d))
-            .collect();
-        if remaining.is_empty() {
-            return Vec::new();
-        }
-        let mut sorted = remaining.clone();
-        sorted.sort_unstable();
-        let median = sorted[(sorted.len() - 1) / 2];
-        remaining
-            .iter()
-            .enumerate()
-            .filter(|(_, &r)| r > 0 && r > 2 * median)
-            .map(|(s, _)| s)
-            .collect()
-    }
-
-    /// The `--progress` line's key-value fields (percent done, rate, ETA,
-    /// straggler shards if any), ready for [`Logger::info`].
-    pub fn progress_fields(&self, assigned: &[u64]) -> Vec<(&'static str, String)> {
+    /// The `--progress` line's key-value fields (percent done, rate, ETA),
+    /// ready for [`Logger::info`].
+    pub fn progress_fields(&self) -> Vec<(&'static str, String)> {
         let pct = if self.total > 0 {
             self.done() as f64 / self.total as f64 * 100.0
         } else {
             100.0
         };
-        let mut fields = vec![
+        vec![
             ("pct", format!("{pct:.1}")),
             ("rate", format!("{:.1}", self.rate())),
             ("eta_s", format!("{:.0}", self.eta_s())),
-        ];
-        let stragglers = self.stragglers(assigned);
-        if !stragglers.is_empty() {
-            fields.push(("stragglers", format!("{stragglers:?}")));
-        }
-        fields
+        ]
     }
 }
 
@@ -425,7 +396,7 @@ const PROGRESS_EVERY_MS: u64 = 200;
 /// `obs.journal` receives per-shard heartbeats (kernels done, kernels/s)
 /// and each shard's slowest kernels, merged in shard order after the
 /// sweep; `obs.logger` turns on a throttled `[sweep]` progress line with
-/// ETA and straggler flags. [`BuildObserver::default`] is the bare sweep
+/// rate and ETA. [`BuildObserver::default`] is the bare sweep
 /// with no per-kernel timing on the hot loop. Observation never changes a
 /// profile.
 ///
@@ -475,6 +446,35 @@ struct Shard {
     slow: Vec<(String, f64, u64)>,
     done: u64,
     cache_hits: u64,
+    /// Sweep milliseconds when this shard finished its latest sample (when
+    /// it started, before the first).
+    finished_ms: u64,
+}
+
+impl Shard {
+    /// This shard's heartbeat as of its latest sample. `assigned` is the
+    /// count it has run so far; [`sweep`] rewrites it to the shard's
+    /// final count once the pool joins.
+    fn heartbeat(&self, caching: bool) -> JournalEvent {
+        let elapsed_s = self.finished_ms as f64 / 1e3;
+        JournalEvent::Heartbeat {
+            shard: self.index as u64,
+            done: self.done,
+            assigned: self.done,
+            elapsed_ms: self.finished_ms,
+            kernels_per_s: if elapsed_s > 0.0 {
+                self.done as f64 / elapsed_s
+            } else {
+                0.0
+            },
+            cache_hits: self.cache_hits,
+            cache_misses: if caching {
+                self.done - self.cache_hits
+            } else {
+                0
+            },
+        }
+    }
 }
 
 /// The sweep driver: measures samples `0..n` with `measure` over
@@ -485,7 +485,11 @@ struct Shard {
 /// measurement path; `describe` names a finished sample and its one-core
 /// cycle count for the slow-kernel list and is only called while
 /// journaling. Cache hits are attributed from the `cache` spans `measure`
-/// records; `caching` reports the rest as misses. The journal gets every
+/// records; `caching` reports the rest as misses. Workers claim samples
+/// from one shared cursor, so a shard's share is only known once the pool
+/// joins: the heartbeats' `assigned` is then set to the samples that shard
+/// ran, and each shard ends on a final heartbeat (`done == assigned`)
+/// stamped when it finished its last sample. The journal gets every
 /// shard's heartbeats then its slow kernels, shard by shard, after the
 /// pool joins; `progress` receives throttled `[sweep]` lines from the
 /// workers as they finish samples.
@@ -504,11 +508,7 @@ pub(crate) fn sweep<T: Send, E: Send>(
     if n == 0 {
         return (Ok(Vec::new()), Vec::new());
     }
-    let assigned: Vec<u64> = fan_out_shares(n, threads)
-        .into_iter()
-        .map(|a| a as u64)
-        .collect();
-    let counts = SweepProgress::new(n, assigned.len());
+    let counts = SweepProgress::new(n, fan_out_workers(n, threads));
     let journaling = journal.is_some();
     // `(done, elapsed_ms)` at the last progress line; the lock keeps the
     // printed counts monotonic, so the last line always reports `n/n`.
@@ -525,7 +525,7 @@ pub(crate) fn sweep<T: Send, E: Send>(
             log.info(
                 "sweep",
                 &format!("measured {}/{}", snap.done(), snap.total),
-                &snap.progress_fields(&assigned),
+                &snap.progress_fields(),
             );
             *last = Some((snap.done(), now));
         }
@@ -539,6 +539,7 @@ pub(crate) fn sweep<T: Send, E: Send>(
         slow: Vec::new(),
         done: 0,
         cache_hits: 0,
+        finished_ms: counts.elapsed_ms(),
     };
     let (results, shards) = fan_out(n, threads, init, |shard: &mut Shard, i| {
         let spans_before = shard.rec.spans().len();
@@ -561,23 +562,9 @@ pub(crate) fn sweep<T: Send, E: Send>(
                     .sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
                 shard.slow.truncate(SLOW_PER_SHARD);
             }
-            let (done, assigned) = (shard.done, assigned[shard.index]);
-            if done.is_multiple_of(HEARTBEAT_EVERY) || done == assigned {
-                let elapsed_ms = counts.elapsed_ms();
-                let elapsed_s = elapsed_ms as f64 / 1e3;
-                shard.events.push(JournalEvent::Heartbeat {
-                    shard: shard.index as u64,
-                    done,
-                    assigned,
-                    elapsed_ms,
-                    kernels_per_s: if elapsed_s > 0.0 {
-                        done as f64 / elapsed_s
-                    } else {
-                        0.0
-                    },
-                    cache_hits: shard.cache_hits,
-                    cache_misses: if caching { done - shard.cache_hits } else { 0 },
-                });
+            shard.finished_ms = counts.elapsed_ms();
+            if shard.done.is_multiple_of(HEARTBEAT_EVERY) {
+                shard.events.push(shard.heartbeat(caching));
             }
         }
         counts.record(shard.index);
@@ -587,6 +574,20 @@ pub(crate) fn sweep<T: Send, E: Send>(
     let mut events = Vec::new();
     let mut recorders = Vec::with_capacity(shards.len());
     for mut shard in shards {
+        if journaling {
+            for ev in &mut shard.events {
+                if let JournalEvent::Heartbeat { assigned, .. } = ev {
+                    *assigned = shard.done;
+                }
+            }
+            let ended = matches!(
+                shard.events.last(),
+                Some(JournalEvent::Heartbeat { done, .. }) if *done == shard.done
+            );
+            if !ended {
+                shard.events.push(shard.heartbeat(caching));
+            }
+        }
         shard.slow.sort_by(|a, b| {
             b.1.partial_cmp(&a.1)
                 .unwrap_or(std::cmp::Ordering::Equal)
@@ -786,6 +787,7 @@ mod tests {
         .expect("plain");
         for threads in [1usize, 2, 8] {
             let mut journal = JournalWriter::in_memory("test_sweep", "cafe", 7);
+            let t0 = Instant::now();
             let observed = measure_kernels_sharded(
                 &kernels,
                 &config,
@@ -798,6 +800,8 @@ mod tests {
                 },
             )
             .expect("observed");
+            // The whole call is this sweep's `measure` stage.
+            let measure_ms = t0.elapsed().as_millis() as u64;
             assert_eq!(
                 observed, plain,
                 "observation must not perturb profiles at {threads} threads"
@@ -811,24 +815,31 @@ mod tests {
                 text,
                 "journal round-trip at {threads} threads"
             );
-            // Every shard's final heartbeat covers its full stripe.
-            let mut last: Vec<Option<(u64, u64)>> = vec![None; threads];
+            // Every shard's final heartbeat covers the samples it ran, is
+            // stamped within the sweep, and the shards' shares add up to
+            // the batch.
+            let mut last: Vec<Option<(u64, u64, u64)>> = vec![None; threads];
             for ev in &parsed.events {
                 if let pulp_obs::JournalEvent::Heartbeat {
                     shard,
                     done,
                     assigned,
+                    elapsed_ms,
                     ..
                 } = ev
                 {
-                    last[*shard as usize] = Some((*done, *assigned));
+                    last[*shard as usize] = Some((*done, *assigned, *elapsed_ms));
                 }
             }
             let covered: u64 = last
                 .iter()
                 .map(|hb| {
-                    let (done, assigned) = hb.expect("each shard heartbeats");
-                    assert_eq!(done, assigned, "final heartbeat covers the stripe");
+                    let (done, assigned, elapsed_ms) = hb.expect("each shard heartbeats");
+                    assert_eq!(done, assigned, "final heartbeat covers the shard's share");
+                    assert!(
+                        elapsed_ms <= measure_ms,
+                        "shard finished at {elapsed_ms} ms, after the {measure_ms} ms sweep"
+                    );
                     done
                 })
                 .sum();
@@ -872,7 +883,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_math_is_pure_and_flags_stragglers() {
+    fn snapshot_math_is_pure() {
         let snap = SweepSnapshot {
             total: 100,
             shard_done: vec![30, 30, 2],
@@ -881,25 +892,8 @@ mod tests {
         assert_eq!(snap.done(), 62);
         assert!((snap.rate() - 2.0).abs() < 1e-9);
         assert!((snap.eta_s() - 19.0).abs() < 1e-9);
-        // Remaining: [4, 4, 31]; median 4 → shard 2 (> 8 behind) straggles.
-        assert_eq!(snap.stragglers(&[34, 34, 33]), vec![2]);
-        // Even remaining → nobody straggles.
-        let even = SweepSnapshot {
-            total: 100,
-            shard_done: vec![20, 20, 20],
-            elapsed_s: 10.0,
-        };
-        assert!(even.stragglers(&[34, 33, 33]).is_empty());
-        // One shard done, one far behind: lower median (0) flags it.
-        let tail = SweepSnapshot {
-            total: 20,
-            shard_done: vec![10, 3],
-            elapsed_s: 5.0,
-        };
-        assert_eq!(tail.stragglers(&[10, 10]), vec![1]);
-        let fields = snap.progress_fields(&[34, 34, 33]);
+        let fields = snap.progress_fields();
         assert!(fields.iter().any(|(k, v)| *k == "pct" && v == "62.0"));
-        assert!(fields.iter().any(|(k, v)| *k == "stragglers" && v == "[2]"));
         // Zero-progress snapshots report an unbounded ETA without panicking.
         let cold = SweepSnapshot {
             total: 10,

@@ -223,7 +223,7 @@ impl LabeledDataset {
     /// observation: stage start/end, per-shard heartbeats (kernels done,
     /// kernels/s, cache hits/misses) and slow-kernel entries go to
     /// `obs.journal`, and `opts.progress` drives a live throttled
-    /// `[sweep]` line (ETA + straggler flags) through `obs.logger`.
+    /// `[sweep]` line (rate + ETA) through `obs.logger`.
     ///
     /// Journal events are buffered per worker and appended in shard order
     /// after the join — the hot measurement loop never touches the

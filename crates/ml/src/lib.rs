@@ -61,6 +61,6 @@ pub use knn::{KNearestNeighbors, KnnParams};
 pub use metrics::{
     accuracy, class_scores, confusion_matrix, mean_std, tolerance_accuracy, ClassScore,
 };
-pub use par::{fan_out, fan_out_shares};
+pub use par::{fan_out, fan_out_workers};
 pub use split::{entropy, gini, Criterion, Split};
 pub use tree::{DecisionTree, NodeView, TreeParams};

@@ -3,9 +3,13 @@
 //! Both embarrassingly parallel steps of the paper's workflow run through
 //! [`fan_out`]: labelling every sample by its minimum-energy team size
 //! (`pulp-energy`'s sweep driver) and the seeded repetitions of repeated
-//! cross-validation ([`crate::repeated_cross_val_predict`]). Results land by
-//! input index, so the output never depends on the worker count or on
-//! thread interleaving.
+//! cross-validation ([`crate::repeated_cross_val_predict`]). Workers claim
+//! jobs from one shared cursor, so a worker that draws a run of expensive
+//! jobs never leaves the others idle; results land by input index, so the
+//! output never depends on the worker count or on thread interleaving.
+
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Runs `work(state, i)` for every `i` in `0..n` over `threads` workers
 /// (`0` = all available cores; never more workers than jobs, and always at
@@ -14,9 +18,10 @@
 ///
 /// Worker `w` builds its private state with `init(w)` — a simulator
 /// scratch, a [`pulp_obs::Recorder`] track, a journal buffer — and threads
-/// it through every job it runs. Jobs are assigned round-robin (worker `w`
-/// runs `w, w + workers, ...`); [`fan_out_shares`] reports how many each
-/// worker gets. A single worker runs inline on the calling thread.
+/// it through every job it runs. Jobs are self-scheduled: each worker
+/// claims the next unclaimed index from a shared cursor until all `n` are
+/// taken, so which worker runs which job (and how many) depends on timing.
+/// A single worker runs inline on the calling thread, in index order.
 ///
 /// `work` must derive everything it computes from its index (and its own
 /// state) for the results to be bit-identical at any thread count.
@@ -28,71 +33,65 @@ pub fn fan_out<S: Send, T: Send>(
     init: impl Fn(usize) -> S + Sync,
     work: impl Fn(&mut S, usize) -> T + Sync,
 ) -> (Vec<T>, Vec<S>) {
-    let workers = worker_count(threads, n);
+    let workers = fan_out_workers(n, threads);
     if workers == 1 {
         let mut state = init(0);
         let out = (0..n).map(|i| work(&mut state, i)).collect();
         return (out, vec![state]);
     }
-    let mut slots: Vec<Option<T>> = (0..n).map(|_| None).collect();
-    let mut states = Vec::with_capacity(workers);
-    let (init, work) = (&init, &work);
-    std::thread::scope(|scope| {
+    // One slot per job: a worker writes its result straight into the slot
+    // of the index it claimed.
+    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
+    let cursor = AtomicUsize::new(0);
+    let states = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|w| {
+                let (init, work, slots, cursor) = (&init, &work, &slots, &cursor);
                 scope.spawn(move || {
                     let mut state = init(w);
-                    let out: Vec<(usize, T)> = assignment(w, workers, n)
-                        .map(|i| (i, work(&mut state, i)))
-                        .collect();
-                    (out, state)
+                    loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            return state;
+                        }
+                        let v = work(&mut state, i);
+                        *slots[i].lock().expect("result slot poisoned") = Some(v);
+                    }
                 })
             })
             .collect();
-        for h in handles {
-            let (out, state) = h.join().expect("fan-out worker panicked");
-            for (i, v) in out {
-                slots[i] = Some(v);
-            }
-            states.push(state);
-        }
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("fan-out worker panicked"))
+            .collect()
     });
     let out = slots
         .into_iter()
-        .map(|v| v.expect("every job assigned"))
+        .map(|slot| {
+            slot.into_inner()
+                .expect("result slot poisoned")
+                .expect("every job claimed")
+        })
         .collect();
     (out, states)
 }
 
-/// Jobs each worker of `fan_out(n, threads, ..)` runs, in worker order; the
-/// length is the resolved worker count. Sweep drivers size their per-shard
-/// heartbeats and straggler checks from it before the pool starts.
-pub fn fan_out_shares(n: usize, threads: usize) -> Vec<usize> {
-    let workers = worker_count(threads, n);
-    (0..workers)
-        .map(|w| assignment(w, workers, n).count())
-        .collect()
-}
-
-/// Resolves the requested worker count for `jobs` jobs: `0` means all
-/// available cores, and the result is clamped to `1..=max(jobs, 1)`.
-fn worker_count(requested: usize, jobs: usize) -> usize {
-    let t = if requested == 0 {
-        std::thread::available_parallelism().map_or(1, |n| n.get())
+/// The number of workers `fan_out(n, threads, ..)` starts: `0` means all
+/// available cores, and the result is clamped to `1..=max(n, 1)`. Callers
+/// size per-worker bookkeeping from it before the pool starts.
+pub fn fan_out_workers(n: usize, threads: usize) -> usize {
+    let t = if threads == 0 {
+        std::thread::available_parallelism().map_or(1, |p| p.get())
     } else {
-        requested
+        threads
     };
-    t.clamp(1, jobs.max(1))
-}
-
-/// The job indices worker `w` of `workers` runs: round-robin striding.
-fn assignment(w: usize, workers: usize, n: usize) -> impl Iterator<Item = usize> {
-    (w..n).step_by(workers)
+    t.clamp(1, n.max(1))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn fan_out_preserves_index_order_and_worker_state() {
@@ -119,12 +118,12 @@ mod tests {
         assert_eq!(out, (0..10).collect::<Vec<_>>());
         let workers: Vec<usize> = states.iter().map(|(w, _)| *w).collect();
         assert_eq!(workers, [0, 1, 2]);
-        assert_eq!(states[0].1, [0, 3, 6, 9]);
-        assert_eq!(states[1].1, [1, 4, 7]);
-        assert_eq!(states[2].1, [2, 5, 8]);
-        assert_eq!(fan_out_shares(10, 3), [4, 3, 3]);
-        assert_eq!(fan_out_shares(3, 8), [1, 1, 1]);
-        assert_eq!(fan_out_shares(0, 4), [0]);
+        // Which worker ran which job depends on timing, but the workers'
+        // job lists partition `0..n`: every job ran exactly once.
+        let mut ran: Vec<usize> = states.iter().flat_map(|(_, seen)| seen.clone()).collect();
+        assert_eq!(ran.len(), 10, "each job runs exactly once");
+        ran.sort_unstable();
+        assert_eq!(ran, (0..10).collect::<Vec<_>>());
 
         // One worker runs on the calling thread; several never do.
         let caller = std::thread::current().id();
@@ -140,5 +139,37 @@ mod tests {
         assert_eq!(on_caller(1), [true; 4]);
         assert_eq!(on_caller(2), [false; 4]);
         assert_eq!(fan_out(0, 1, |w| w, |_, i| i).1, [0], "one inline worker");
+    }
+
+    #[test]
+    fn fan_out_claims_jobs_dynamically() {
+        // Job 0 blocks its worker until every other job has finished. Only
+        // a self-scheduling pool lets the second worker run all of them;
+        // under static striding job 2 would wait behind job 0 forever.
+        let n = 9;
+        let finished = AtomicUsize::new(0);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let (out, _) = fan_out(
+            n,
+            2,
+            |_| (),
+            |_, i| {
+                if i == 0 {
+                    while finished.load(Ordering::Acquire) < n - 1 {
+                        assert!(
+                            Instant::now() < deadline,
+                            "job 0 still waiting: only {} of {} other jobs ran",
+                            finished.load(Ordering::Acquire),
+                            n - 1
+                        );
+                        std::thread::yield_now();
+                    }
+                } else {
+                    finished.fetch_add(1, Ordering::Release);
+                }
+                i
+            },
+        );
+        assert_eq!(out, (0..n).collect::<Vec<_>>());
     }
 }

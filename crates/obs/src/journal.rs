@@ -84,7 +84,9 @@ pub enum JournalEvent {
         shard: u64,
         /// Kernels this shard has finished.
         done: u64,
-        /// Kernels assigned to this shard in total.
+        /// Kernels this shard ran in the whole sweep. Shards claim work
+        /// dynamically, so the count is filled in once the sweep ends; a
+        /// shard's final heartbeat has `done == assigned`.
         assigned: u64,
         /// Milliseconds since the sweep started.
         elapsed_ms: u64,
@@ -733,6 +735,7 @@ pub fn render_report(journal: &Journal) -> String {
             "  {:>5} {:>6} {:>8} {:>10} {:>10} {:>7} {:>7}",
             "shard", "done", "assigned", "kernels/s", "elapsed", "hits", "misses"
         );
+        let mut finish_ms = Vec::with_capacity(shards.len());
         for (shard, ev) in &shards {
             if let JournalEvent::Heartbeat {
                 done,
@@ -749,8 +752,19 @@ pub fn render_report(journal: &Journal) -> String {
                     "  {shard:>5} {done:>6} {assigned:>8} {kernels_per_s:>10.1} {:>8.1} s {cache_hits:>7} {cache_misses:>7}",
                     *elapsed_ms as f64 / 1000.0
                 );
+                finish_ms.push(*elapsed_ms);
             }
         }
+        // Shard imbalance: how much earlier the fastest shard finished than
+        // the slowest, as a share of the slowest finish time.
+        let slowest = finish_ms.iter().copied().max().unwrap_or(0);
+        let fastest = finish_ms.iter().copied().min().unwrap_or(0);
+        let spread = if slowest > 0 {
+            (slowest - fastest) as f64 / slowest as f64 * 100.0
+        } else {
+            0.0
+        };
+        let _ = writeln!(out, "  finish spread {spread:.1}%");
     }
 
     // Top-K slowest kernels across all shards; ties broken by sample id

@@ -148,8 +148,9 @@ fn report_names_the_fixtures_headline_facts() {
         "measure",          // stage table
         "linalg/gemm/i32/8192",
         "static_at_5",
-        "21", // cache hits
-        "42", // cache misses
+        "21",                  // cache hits
+        "42",                  // cache misses
+        "finish spread 22.6%", // (3100 - 2400) / 3100 ms
     ] {
         assert!(
             GOLDEN_REPORT.contains(needle),
