@@ -24,7 +24,7 @@ fn main() {
     let start = std::time::Instant::now();
     let args = CommonArgs::parse();
     let opts = args.pipeline_options();
-    let data = load_or_build_dataset(&opts, &args);
+    let data = load_or_build_dataset(&opts, &args, None);
 
     // Header.
     let mut cols: Vec<String> = vec![

@@ -25,7 +25,7 @@ fn main() {
     let start = std::time::Instant::now();
     let args = CommonArgs::parse();
     let opts = args.pipeline_options();
-    let data = load_or_build_dataset(&opts, &args);
+    let data = load_or_build_dataset(&opts, &args, None);
 
     println!("E2 / §IV-B — dataset statistics\n");
     println!("samples: {} (paper: 448)", data.len());

@@ -14,7 +14,7 @@ fn main() {
     let start = std::time::Instant::now();
     let args = CommonArgs::parse();
     let opts = args.pipeline_options();
-    let data = load_or_build_dataset(&opts, &args);
+    let data = load_or_build_dataset(&opts, &args, None);
     let protocol = args.protocol();
     let tolerances = default_tolerances();
     let energies = data.energies();

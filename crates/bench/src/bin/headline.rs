@@ -14,7 +14,8 @@
 //! is never clobbered by a zoo sweep — and the record names its model so
 //! `bench diff` refuses cross-model comparisons via the accuracy map.
 
-use pulp_bench::{load_or_build_dataset_observed, CommonArgs};
+use pulp_bench::cli::{self, Cli, Flag, Usage};
+use pulp_bench::{load_or_build_dataset, CommonArgs, COMMON_FLAGS};
 use pulp_energy::{
     default_tolerances, evaluation::curve_from_predictions, report::render_confusion,
     tolerance_curve, top_feature_columns, CacheStats, Protocol, StaticFeatureSet, ToleranceCurve,
@@ -56,42 +57,37 @@ struct BenchHeadline {
     manifest_hash: String,
 }
 
-/// `--bench-out <path>`; parsed directly because it is headline-specific
-/// and `CommonArgs` ignores foreign flags. Defaults to
-/// `BENCH_headline.json` for the tree (the paper's model, the committed
-/// baseline) and `BENCH_headline_<model>.json` for other zoo members.
-fn bench_out_path(model: &str) -> PathBuf {
-    let mut argv = std::env::args().skip(1);
-    while let Some(a) = argv.next() {
-        if a == "--bench-out" {
-            if let Some(p) = argv.next() {
-                return PathBuf::from(p);
-            }
-        }
-    }
-    if model == "tree" {
-        PathBuf::from("BENCH_headline.json")
-    } else {
-        PathBuf::from(format!("BENCH_headline_{model}.json"))
-    }
+/// Headline's own flags, on top of [`COMMON_FLAGS`].
+#[rustfmt::skip]
+const HEADLINE_FLAGS: &[Flag] = &[
+    Flag::valued("--model", "tree|forest|gbt", "classifier behind every curve (default: tree)"),
+    Flag::valued("--bench-out", "path", "record path (default: BENCH_headline[_<model>].json)"),
+];
+
+const USAGE: Usage = Usage::options(&[COMMON_FLAGS, HEADLINE_FLAGS]);
+
+struct Args {
+    common: CommonArgs,
+    model: &'static str,
+    bench_out: PathBuf,
 }
 
-/// `--model tree|forest|gbt` (default `tree`); bin-local like
-/// `--bench-out`. An unknown model is a usage error, not a silent tree.
-fn model_arg() -> String {
-    let mut argv = std::env::args().skip(1);
-    while let Some(a) = argv.next() {
-        if a == "--model" {
-            return match argv.next().as_deref() {
-                Some(m @ ("tree" | "forest" | "gbt")) => m.to_string(),
-                other => {
-                    eprintln!("--model expects tree|forest|gbt, got {other:?}");
-                    std::process::exit(2);
-                }
-            };
-        }
-    }
-    "tree".to_string()
+/// Decodes headline's command line. The record path defaults to
+/// `BENCH_headline.json` for the tree (the paper's model, the committed
+/// baseline) and to `BENCH_headline_<model>.json` for other zoo members.
+fn decode(cli: &Cli) -> Result<Args, String> {
+    let model = cli
+        .choice("--model", &["tree", "forest", "gbt"])?
+        .unwrap_or("tree");
+    let bench_out = cli.path("--bench-out").unwrap_or_else(|| match model {
+        "tree" => PathBuf::from("BENCH_headline.json"),
+        m => PathBuf::from(format!("BENCH_headline_{m}.json")),
+    });
+    Ok(Args {
+        common: CommonArgs::from_cli(cli)?,
+        model,
+        bench_out,
+    })
 }
 
 /// The tolerance curve of the selected zoo member over `data`. Trees use
@@ -144,18 +140,21 @@ fn model_curve(
             );
             curve_from_predictions(label, &preds, energies, tolerances)
         }
-        other => unreachable!("model_arg validated {other}"),
+        other => unreachable!("decode validated {other}"),
     }
 }
 
 fn main() {
     let start = Instant::now();
-    let args = CommonArgs::parse();
-    let model = model_arg();
+    let Args {
+        common: args,
+        model,
+        bench_out: out,
+    } = cli::parse_env(&USAGE, decode);
     let opts = args.pipeline_options();
     let protocol = args.protocol();
     let mut journal = args.journal_writer("headline", &opts, Some(&protocol));
-    let data = load_or_build_dataset_observed(&opts, &args, journal.as_mut());
+    let data = load_or_build_dataset(&opts, &args, journal.as_mut());
     let tolerances = default_tolerances();
     let energies = data.energies();
 
@@ -177,12 +176,12 @@ fn main() {
     let eval_t0 = Instant::now();
 
     let all = data.static_dataset(StaticFeatureSet::All).expect("static");
-    let static_curve = model_curve(&model, "static", &all, &energies, &tolerances, &protocol);
+    let static_curve = model_curve(model, "static", &all, &energies, &tolerances, &protocol);
 
     let top = top_feature_columns(&all, 6, &protocol);
     let optimized = all.select_features(&top);
     let optimized_curve = model_curve(
-        &model,
+        model,
         "optimised",
         &optimized,
         &energies,
@@ -192,7 +191,7 @@ fn main() {
 
     let dynamic = data.dynamic_dataset().expect("dynamic");
     let dynamic_curve = model_curve(
-        &model,
+        model,
         "dynamic",
         &dynamic,
         &energies,
@@ -277,7 +276,7 @@ fn main() {
 
     // One CV pass for the confusion structure: most confusion should sit
     // between adjacent core counts (near-ties), as on the real platform.
-    let preds = match model.as_str() {
+    let preds = match model {
         "forest" => cross_val_predict(&all, protocol.folds, protocol.seed, || {
             RandomForest::new(ForestParams {
                 n_trees: 50,
@@ -350,26 +349,55 @@ fn main() {
     let manifest = args.write_manifest("headline", &opts, Some(&protocol), start);
     let bench = BenchHeadline {
         schema: "pulp-headline/v1",
-        model: model.clone(),
+        model: model.to_string(),
         naive_delta: h.static_at_5 - h.always8_at_5,
         accuracy: h,
         wall_time_ms: start.elapsed().as_millis() as u64,
         cache: opts.cache.as_ref().map(|c| c.stats()),
         manifest_hash: manifest.manifest_hash(),
     };
-    let out = bench_out_path(&model);
-    match serde_json::to_string_pretty(&bench) {
-        Ok(s) => {
-            if let Err(e) = std::fs::write(&out, s) {
-                eprintln!("warning: cannot write {}: {e}", out.display());
-            } else if !args.quiet {
-                args.logger().info(
-                    "bench",
-                    "headline record written",
-                    &[("path", out.display().to_string())],
-                );
-            }
-        }
-        Err(e) => eprintln!("warning: cannot serialise bench record: {e}"),
+    match pulp_bench::write_json(&out, &bench) {
+        Err(e) => eprintln!("warning: {e}"),
+        Ok(()) if !args.quiet => args.logger().info(
+            "bench",
+            "headline record written",
+            &[("path", out.display().to_string())],
+        ),
+        Ok(()) => {}
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        Cli::parse(line.split_whitespace().map(String::from), USAGE.tables).and_then(|c| decode(&c))
+    }
+
+    #[test]
+    fn ci_command_lines_parse() {
+        let a = parse("--quick --cache-dir /tmp/c").expect("warm-cache check");
+        assert!(a.common.quick && a.common.cache_dir.is_some());
+        assert_eq!(
+            (a.model, a.bench_out),
+            ("tree", "BENCH_headline.json".into())
+        );
+        let a = parse("--quick --bench-out B.json --manifest manifest.json --journal run.jsonl")
+            .expect("bench record step");
+        assert_eq!(a.bench_out, PathBuf::from("B.json"));
+        assert_eq!(a.common.journal, Some(PathBuf::from("run.jsonl")));
+    }
+
+    #[test]
+    fn model_and_bench_out_parse_strictly() {
+        let a = parse("--model gbt").expect("valid");
+        assert_eq!(a.bench_out, PathBuf::from("BENCH_headline_gbt.json"));
+        let err = parse("--model knn").err().expect("not a headline model");
+        assert!(err.contains("--model") && err.contains("`knn`"), "{err}");
+        // Regression: a valueless `--bench-out` used to fall back to the
+        // default path.
+        let err = parse("--bench-out").err().expect("missing value");
+        assert!(err.contains("--bench-out requires a value"), "{err}");
     }
 }

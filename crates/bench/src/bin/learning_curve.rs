@@ -26,7 +26,7 @@ fn main() {
     let start = std::time::Instant::now();
     let args = CommonArgs::parse();
     let opts = args.pipeline_options();
-    let data = load_or_build_dataset(&opts, &args);
+    let data = load_or_build_dataset(&opts, &args, None);
     let protocol = args.protocol();
     let all = data.static_dataset(StaticFeatureSet::All).expect("static");
     let energies = data.energies();

@@ -5,18 +5,25 @@
 //! `--detail` additionally prints the full per-core stall table and the
 //! energy waterfall of the single most interesting run per kernel (its
 //! minimum-energy team).
-//!
-//! ```text
-//! profile_report [--size BYTES] [--detail] [--json PATH] [--quiet]
-//! ```
 
 use kernel_ir::{lower, DType};
+use pulp_bench::cli::{self, Cli, Flag, Usage};
 use pulp_bench::{profile_run, QUICK_KERNELS};
 use pulp_energy_model::{energy_waterfall, EnergyModel};
 use pulp_kernels::{registry, KernelParams};
 use pulp_sim::{ClusterConfig, CycleCause};
 use serde::Value;
 use std::process::ExitCode;
+
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag::valued("--size",   "bytes", "payload size (default: 2048)"),
+    Flag::switch("--detail",          "stall table + energy waterfall of the best team"),
+    Flag::valued("--json",   "path",  "dump the per-team breakdowns to <path>"),
+    Flag::switch("--quiet",           "suppress the per-run table"),
+];
+
+const USAGE: Usage = Usage::options(&[FLAGS]);
 
 struct Args {
     size: usize,
@@ -25,27 +32,14 @@ struct Args {
     quiet: bool,
 }
 
-fn parse_args() -> Option<Args> {
-    let mut args = Args {
-        size: 2048,
-        detail: false,
-        json: None,
-        quiet: false,
-    };
-    let mut argv = std::env::args().skip(1);
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--size" => args.size = argv.next()?.parse().ok()?,
-            "--detail" => args.detail = true,
-            "--json" => args.json = Some(argv.next()?),
-            "--quiet" => args.quiet = true,
-            other => {
-                eprintln!("unknown argument {other}");
-                return None;
-            }
-        }
-    }
-    Some(args)
+fn decode(cli: &Cli) -> Result<Args, String> {
+    cli.no_positionals()?;
+    Ok(Args {
+        size: cli.positive("--size")?.unwrap_or(2048),
+        detail: cli.switch("--detail"),
+        json: cli.string("--json"),
+        quiet: cli.switch("--quiet"),
+    })
 }
 
 /// The cause (other than plain execution) that claimed the most cycles.
@@ -59,10 +53,7 @@ fn dominant_stall(b: &pulp_sim::CycleBreakdown) -> (CycleCause, u64) {
 }
 
 fn main() -> ExitCode {
-    let Some(args) = parse_args() else {
-        eprintln!("usage: profile_report [--size BYTES] [--detail] [--json PATH] [--quiet]");
-        return ExitCode::FAILURE;
-    };
+    let args = cli::parse_env(&USAGE, decode);
     let config = ClusterConfig::default();
     let model = EnergyModel::table1();
     let defs = registry();
@@ -169,4 +160,24 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        Cli::parse(line.split_whitespace().map(String::from), USAGE.tables).and_then(|c| decode(&c))
+    }
+
+    #[test]
+    fn documented_command_lines_parse() {
+        let a = parse("--size 512 --detail --json out.json --quiet").expect("every flag");
+        assert_eq!((a.size, a.detail, a.quiet), (512, true, true));
+        assert_eq!(a.json.as_deref(), Some("out.json"));
+        assert_eq!(parse("").expect("defaults").size, 2048);
+        for bad in ["--size 0", "--size big", "--json", "--sise 1", "stray"] {
+            assert!(parse(bad).is_err(), "{bad}");
+        }
+    }
 }

@@ -1,41 +1,10 @@
 //! `pulp_cli` — command-line front end to the whole stack.
 //!
-//! ```text
-//! pulp_cli list                                   # dataset kernels
-//! pulp_cli pretty   <kernel> [--dtype d] [--size n]   # pseudo-C source
-//! pulp_cli features <kernel> [--dtype d] [--size n]   # static features
-//! pulp_cli disasm   <kernel> [--team t] [...]         # lowered program
-//! pulp_cli measure  <kernel> [...]                    # energy at 1..=8 cores
-//! pulp_cli classify <kernel> [...]                    # train + predict
-//! pulp_cli mca      <kernel> [...]                    # LLVM-MCA-style report
-//! pulp_cli profile  <kernel> [...]                    # stall causes + energy, 1..=8 cores
-//! pulp_cli trace    <kernel> [--team t] [...]         # GVSOC-style trace
-//! pulp_cli trace    <kernel> --chrome out.json [...]  # Chrome trace-event JSON
-//! pulp_cli cache    stats --cache-dir DIR             # sweep-cache usage
-//! pulp_cli cache    clear --cache-dir DIR             # delete cached sweeps
-//! pulp_cli serve    [--addr HOST:PORT] [--full]       # HTTP prediction service
-//! pulp_cli bench    diff OLD.json NEW.json            # regression gate (headline/sim/serve/models)
-//! pulp_cli bench    sim [--quick] [--out PATH]        # simulator perf benchmark
-//! pulp_cli bench    serve [--quick] [--out PATH]      # serving-layer load benchmark
-//! pulp_cli bench    models [--quick] [--out PATH]     # model-zoo accuracy + flat-parity benchmark
-//! pulp_cli bench    history DIR                       # benchmark trajectory over committed records
-//! pulp_cli report   RUN.jsonl                         # deterministic report from a run journal
-//! pulp_cli journal  validate RUN.jsonl [...]          # structural check of run journals
-//! ```
-//!
-//! Defaults: `--dtype f32` (or the kernel's only supported type),
-//! `--size 2048`, `--team 4`, `--addr 127.0.0.1:7878`,
-//! `--max-cycles 100000000` for profile/trace runs.
-//!
-//! `serve` capacity knobs: `--workers N` (worker threads), `--queue-depth N`
-//! (bounded accept queue; overflow sheds with 503 + `Retry-After`),
-//! `--timeout-ms N` (per-connection read/write deadline), `--max-body-bytes
-//! N` (413 above this), `--keepalive-max N` (requests per keep-alive
-//! connection). SIGTERM/ctrl-c or `POST /admin/shutdown` drain gracefully.
-//! Observability knobs: `--slow-ms N` (structured log line for requests
-//! slower than N ms; 0 logs everything), `--flight-capacity N` (completed
-//! traces retained for `GET /debug/requests` / `GET /debug/slow`),
-//! `--log-json` (JSON-lines on stderr instead of `[serve]` text).
+//! `pulp_cli --help` lists every command and every flag, generated from
+//! the same table the strict parser reads: an unknown flag, a missing
+//! value or a malformed value exits 2 naming the flag. `serve` logs its
+//! capacity knobs at startup; SIGTERM/ctrl-c or `POST /admin/shutdown`
+//! drain it gracefully.
 //!
 //! `bench sim` runs the fixed kernel basket (ALU-bound, TCDM-conflict,
 //! barrier/DMA-heavy, FP-contended) at 1/2/4/8 cores with the event-horizon
@@ -55,8 +24,7 @@
 //! the quantized flat compilation of each tree-backed model against the
 //! float reference on every dataset row; writes `BENCH_models.json`
 //! (override with `--out`). `--cv-threads N` pins the CV worker count —
-//! the record is bit-identical at any value. `--predictor flat|float` on
-//! `bench serve` selects the model form the server under test walks.
+//! the record is bit-identical at any value.
 //!
 //! `bench diff OLD NEW` dispatches on the record's `bench` field:
 //! headline records gate on accuracy (>1 pt drop fails), `BENCH_sim.json`
@@ -80,9 +48,8 @@
 //! the dataset-building bins' `--journal PATH` write such journals.
 
 use kernel_ir::{lower, DType, Kernel};
-use pulp_bench::serve::{
-    install_signal_shutdown, PredictorBackend, ServeOptions, ServeState, Server,
-};
+use pulp_bench::cli::{self, Cli, Flag, Usage};
+use pulp_bench::serve::{install_signal_shutdown, ServeOptions, ServeState, Server};
 use pulp_bench::{
     profile_run, recorder_of_run, run_models_bench, run_serve_bench, CommonArgs, ServeBenchOptions,
     SimBenchOptions, QUICK_KERNELS,
@@ -95,7 +62,6 @@ use pulp_energy::{
 use pulp_energy_model::{energy_waterfall, EnergyModel};
 use pulp_kernels::{registry, KernelDef, KernelParams};
 use pulp_ml::{DecisionTree, TreeParams};
-use pulp_obs::{LogFormat, Logger};
 use pulp_sim::{simulate_traced, ClusterConfig, TextSink};
 use serde::Value;
 use std::process::ExitCode;
@@ -133,176 +99,118 @@ struct Args {
     p99_tolerance: Option<f64>,
     journal: Option<String>,
     cv_threads: Option<usize>,
-    predictor: Option<PredictorBackend>,
 }
 
-fn parse_args() -> Option<Args> {
-    parse_from(std::env::args().skip(1))
-}
+/// Every flag `pulp_cli` accepts; each subcommand reads the ones it uses.
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag::valued("--dtype",            "i32|f32",   "element type (default: f32, else i32)"),
+    Flag::valued("--size",             "bytes",     "kernel payload size (default: 2048)"),
+    Flag::valued("--team",             "n",         "disasm/trace: cores (default: 4)"),
+    Flag::valued("--chrome",           "path",      "trace: write Chrome trace-event JSON"),
+    Flag::valued("--max-cycles",       "n",         "profile/trace/bench sim cycle budget"),
+    Flag::valued("--cache-dir",        "dir",       "cache/serve/bench models: sweep cache"),
+    Flag::valued("--addr",             "host:port", "serve: listen address (127.0.0.1:7878)"),
+    Flag::switch("--full",                          "serve: train on every kernel"),
+    Flag::valued("--workers",          "n",         "serve: worker threads"),
+    Flag::valued("--queue-depth",      "n",         "serve: accept queue bound (overflow: 503)"),
+    Flag::valued("--timeout-ms",       "n",         "serve: per-connection read/write deadline"),
+    Flag::valued("--max-body-bytes",   "n",         "serve: larger bodies get 413"),
+    Flag::valued("--keepalive-max",    "n",         "serve: requests per keep-alive connection"),
+    Flag::valued("--slow-ms",          "n",         "serve: log slower requests (0 logs all)"),
+    Flag::valued("--flight-capacity",  "n",         "serve: traces kept for /debug/requests"),
+    Flag::valued("--retry-after-secs", "n",         "serve: Retry-After on shed responses"),
+    Flag::switch("--log-json",                      "serve: JSON-lines logs on stderr"),
+    Flag::switch("--quick",                         "bench sim/serve/models: quick profile"),
+    Flag::valued("--out",              "path",      "bench sim/serve/models: record path"),
+    Flag::valued("--iters",            "n",         "bench sim: timing iterations"),
+    Flag::valued("--journal",          "path",      "bench sim/models: JSONL run journal"),
+    Flag::valued("--trace-out",        "path",      "bench serve: flight-recorder Chrome trace"),
+    Flag::valued("--rate",             "rps",       "bench serve: open-loop arrival rate"),
+    Flag::valued("--hist-out",         "path",      "bench serve: open-loop latency histogram"),
+    Flag::valued("--cv-threads",       "n",         "bench models: CV worker threads"),
+    Flag::valued("--p99-tolerance",    "x",         "bench diff/history: serve p99 bound (0.2)"),
+];
 
-fn parse_from(mut argv: impl Iterator<Item = String>) -> Option<Args> {
-    let command = argv.next()?;
-    let mut args = Args {
-        command,
-        kernel: None,
-        rest: Vec::new(),
-        dtype: None,
-        size: 2048,
-        team: 4,
-        chrome: None,
-        cache_dir: None,
-        addr: None,
-        full: false,
-        quick: false,
-        out: None,
-        max_cycles: None,
-        iters: None,
-        workers: None,
-        queue_depth: None,
-        timeout_ms: None,
-        max_body_bytes: None,
-        keepalive_max: None,
-        slow_ms: None,
-        flight_capacity: None,
-        retry_after_secs: None,
-        rate: None,
-        hist_out: None,
-        log_json: false,
-        trace_out: None,
-        p99_tolerance: None,
-        journal: None,
-        cv_threads: None,
-        predictor: None,
+const USAGE: Usage = Usage {
+    synopsis: &[
+        "list                        # dataset kernels",
+        "pretty   <kernel>           # pseudo-C source",
+        "features <kernel>           # static features",
+        "disasm   <kernel>           # lowered program",
+        "measure  <kernel>           # energy at 1..=8 cores",
+        "classify <kernel>           # train + predict",
+        "mca      <kernel>           # LLVM-MCA-style report",
+        "profile  <kernel>           # stall causes + energy, 1..=8 cores",
+        "trace    <kernel>           # GVSOC-style (or --chrome) trace",
+        "cache    <stats|clear>      # sweep-cache usage / delete cached sweeps",
+        "serve                       # HTTP prediction service",
+        "bench    diff OLD NEW       # regression gate (headline/sim/serve/models)",
+        "bench    <sim|serve|models> # simulator / serving-layer / model-zoo benchmark",
+        "bench    history DIR        # benchmark trajectory over committed records",
+        "report   RUN.jsonl          # deterministic report from a run journal",
+        "journal  validate RUN...    # structural check of run journals",
+    ],
+    tables: &[FLAGS],
+};
+
+/// The first positional is the command, the second the kernel (or the
+/// subcommand), the rest go to `rest`.
+fn decode(cli: &Cli) -> Result<Args, String> {
+    let mut words = cli.positionals().iter().cloned();
+    let command = match words.next() {
+        Some(c) => c,
+        None if cli.help() => String::new(),
+        None => return Err("missing command".to_string()),
     };
-    // `--flag N` where N must be a strictly positive integer.
-    fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(
-        argv: &mut impl Iterator<Item = String>,
-        flag: &str,
-    ) -> Option<T> {
-        let raw = argv.next()?;
-        match raw.parse::<T>() {
-            Ok(n) if n >= T::from(1u8) => Some(n),
-            _ => {
-                eprintln!("{flag} expects a positive integer, got {raw:?}");
-                None
-            }
-        }
-    }
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--chrome" => args.chrome = Some(argv.next()?),
-            "--cache-dir" => args.cache_dir = Some(argv.next()?),
-            "--addr" => args.addr = Some(argv.next()?),
-            "--full" => args.full = true,
-            "--quick" => args.quick = true,
-            "--out" => args.out = Some(argv.next()?),
-            "--max-cycles" => args.max_cycles = Some(positive(&mut argv, "--max-cycles")?),
-            "--iters" => args.iters = Some(positive(&mut argv, "--iters")?),
-            "--workers" => args.workers = Some(positive(&mut argv, "--workers")?),
-            "--queue-depth" => args.queue_depth = Some(positive(&mut argv, "--queue-depth")?),
-            "--timeout-ms" => args.timeout_ms = Some(positive(&mut argv, "--timeout-ms")?),
-            "--max-body-bytes" => {
-                args.max_body_bytes = Some(positive(&mut argv, "--max-body-bytes")?);
-            }
-            "--keepalive-max" => args.keepalive_max = Some(positive(&mut argv, "--keepalive-max")?),
-            "--slow-ms" => {
-                // Zero is meaningful: log every request.
-                let raw = argv.next()?;
-                match raw.parse::<u64>() {
-                    Ok(n) => args.slow_ms = Some(n),
-                    Err(_) => {
-                        eprintln!("--slow-ms expects a non-negative integer, got {raw:?}");
-                        return None;
-                    }
-                }
-            }
-            "--flight-capacity" => {
-                args.flight_capacity = Some(positive(&mut argv, "--flight-capacity")?);
-            }
-            "--retry-after-secs" => {
-                args.retry_after_secs = Some(positive(&mut argv, "--retry-after-secs")?);
-            }
-            "--rate" => {
-                let raw = argv.next()?;
-                match raw.parse::<f64>() {
-                    Ok(x) if x > 0.0 && x.is_finite() => args.rate = Some(x),
-                    _ => {
-                        eprintln!("--rate expects a positive requests/second, got {raw:?}");
-                        return None;
-                    }
-                }
-            }
-            "--hist-out" => args.hist_out = Some(argv.next()?),
-            "--cv-threads" => args.cv_threads = Some(positive(&mut argv, "--cv-threads")?),
-            "--predictor" => {
-                let raw = argv.next()?;
-                match PredictorBackend::parse(&raw) {
-                    Some(b) => args.predictor = Some(b),
-                    None => {
-                        eprintln!("--predictor expects `flat` or `float`, got {raw:?}");
-                        return None;
-                    }
-                }
-            }
-            "--log-json" => args.log_json = true,
-            "--trace-out" => args.trace_out = Some(argv.next()?),
-            "--journal" => args.journal = Some(argv.next()?),
-            "--p99-tolerance" => {
-                let raw = argv.next()?;
-                match raw.parse::<f64>() {
-                    Ok(x) if x > 0.0 && x.is_finite() => args.p99_tolerance = Some(x),
-                    _ => {
-                        eprintln!("--p99-tolerance expects a positive number, got {raw:?}");
-                        return None;
-                    }
-                }
-            }
-            "--dtype" => {
-                args.dtype = match argv.next().as_deref() {
-                    Some("i32") => Some(DType::I32),
-                    Some("f32") => Some(DType::F32),
-                    other => {
-                        eprintln!("unknown dtype {other:?} (use i32 or f32)");
-                        return None;
-                    }
-                };
-            }
-            "--size" => args.size = argv.next()?.parse().ok()?,
-            "--team" => args.team = argv.next()?.parse().ok()?,
-            other if !other.starts_with("--") && args.kernel.is_none() => {
-                args.kernel = Some(other.to_string());
-            }
-            other if !other.starts_with("--") => {
-                args.rest.push(other.to_string());
-            }
-            other => {
-                eprintln!("unknown argument {other}");
-                return None;
-            }
-        }
-    }
-    Some(args)
+    Ok(Args {
+        command,
+        kernel: words.next(),
+        rest: words.collect(),
+        dtype: match cli.choice("--dtype", &["i32", "f32"])? {
+            Some("i32") => Some(DType::I32),
+            Some(_) => Some(DType::F32),
+            None => None,
+        },
+        size: cli.positive("--size")?.unwrap_or(2048),
+        team: cli.positive("--team")?.unwrap_or(4),
+        chrome: cli.string("--chrome"),
+        cache_dir: cli.string("--cache-dir"),
+        addr: cli.string("--addr"),
+        full: cli.switch("--full"),
+        quick: cli.switch("--quick"),
+        out: cli.string("--out"),
+        max_cycles: cli.positive("--max-cycles")?,
+        iters: cli.positive("--iters")?,
+        workers: cli.positive("--workers")?,
+        queue_depth: cli.positive("--queue-depth")?,
+        timeout_ms: cli.positive("--timeout-ms")?,
+        max_body_bytes: cli.positive("--max-body-bytes")?,
+        keepalive_max: cli.positive("--keepalive-max")?,
+        slow_ms: cli.non_negative("--slow-ms")?,
+        flight_capacity: cli.positive("--flight-capacity")?,
+        retry_after_secs: cli.positive("--retry-after-secs")?,
+        rate: cli.positive_f64("--rate")?,
+        hist_out: cli.string("--hist-out"),
+        log_json: cli.switch("--log-json"),
+        trace_out: cli.string("--trace-out"),
+        p99_tolerance: cli.positive_f64("--p99-tolerance")?,
+        journal: cli.string("--journal"),
+        cv_threads: cli.positive("--cv-threads")?,
+    })
 }
 
+/// [`decode`] over an explicit argument list.
+#[cfg(test)]
+fn parse_from(argv: impl Iterator<Item = String>) -> Option<Args> {
+    decode(&Cli::parse(argv, USAGE.tables).ok()?).ok()
+}
+
+/// A command line naming no valid subcommand: usage on stderr, exit 2
+/// (exit 1 is kept for failed gates and runs).
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: pulp_cli <list|pretty|features|disasm|measure|classify|mca|profile|trace> \
-         [kernel] [--dtype i32|f32] [--size BYTES] [--team N] [--chrome OUT.json]\n   \
-         or: pulp_cli cache <stats|clear> --cache-dir DIR\n   \
-         or: pulp_cli serve [--addr HOST:PORT] [--full] [--cache-dir DIR] [--workers N]\n   \
-                [--queue-depth N] [--timeout-ms N] [--max-body-bytes N] [--keepalive-max N]\n   \
-                [--slow-ms N] [--flight-capacity N] [--retry-after-secs N] [--log-json]\n   \
-         or: pulp_cli bench diff OLD.json NEW.json [--p99-tolerance X]\n   \
-         or: pulp_cli bench sim [--quick] [--out PATH] [--max-cycles N] [--iters N] [--journal PATH]\n   \
-         or: pulp_cli bench serve [--quick] [--out PATH] [--trace-out PATH] [--rate RPS]\n   \
-                [--hist-out PATH] [--predictor flat|float]\n   \
-         or: pulp_cli bench models [--quick] [--out PATH] [--cv-threads N] [--journal PATH]\n   \
-                [--cache-dir DIR]\n   \
-         or: pulp_cli bench history DIR [--p99-tolerance X]\n   \
-         or: pulp_cli report RUN.jsonl\n   \
-         or: pulp_cli journal validate RUN.jsonl [RUN2.jsonl ...]"
-    );
-    ExitCode::FAILURE
+    eprint!("{}", USAGE.render("pulp_cli"));
+    ExitCode::from(2)
 }
 
 /// Default cycle budget for interactive `profile`/`trace` runs
@@ -884,12 +792,8 @@ fn cmd_bench_sim(args: &Args) -> ExitCode {
     } else {
         SimBenchOptions::default()
     };
-    if let Some(n) = args.max_cycles {
-        opts.max_cycles = n;
-    }
-    if let Some(n) = args.iters {
-        opts.iters = n;
-    }
+    opts.max_cycles = args.max_cycles.unwrap_or(opts.max_cycles);
+    opts.iters = args.iters.unwrap_or(opts.iters);
     eprintln!(
         "bench sim: {} run ({} baskets x {} team sizes, {} timing iteration(s))...",
         if opts.quick { "quick" } else { "full" },
@@ -900,59 +804,49 @@ fn cmd_bench_sim(args: &Args) -> ExitCode {
     // The journal's run id is seeded from the pre-run provenance manifest
     // (wall times excluded), so re-running the same configuration re-derives
     // the same id.
-    let mut journal = args.journal.as_deref().and_then(|path| {
-        let pre = pulp_energy::RunManifest::new(
-            "bench_sim",
-            &ClusterConfig::default(),
-            &EnergyModel::table1(),
-        )
-        .with_extra("quick", opts.quick);
-        match pulp_obs::JournalWriter::create(
-            std::path::Path::new(path),
-            "bench_sim",
-            &pre.manifest_hash(),
-            pre.seed,
-        ) {
-            Ok(j) => Some(j),
-            Err(e) => {
-                eprintln!("bench sim: cannot open journal {path}: {e}");
-                None
-            }
-        }
-    });
-    let report = pulp_bench::sim_bench::run_sim_bench_journaled(&opts, journal.as_mut());
-    if let Some(j) = journal {
-        let run = j.run_id().to_string();
-        match j.finalize() {
-            Ok(()) => {
-                if let Some(path) = &args.journal {
-                    println!("wrote {path} (run journal, run {run})");
-                }
-            }
-            Err(e) => eprintln!("bench sim: cannot finalize journal: {e}"),
-        }
-    }
-    print!("{}", report.render_table());
-    let out_path = args.out.as_deref().unwrap_or("BENCH_sim.json");
-    let json = match serde_json::to_string_pretty(&report) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("bench sim: cannot serialise report: {e}");
-            return ExitCode::FAILURE;
-        }
+    let common = CommonArgs {
+        quick: opts.quick,
+        journal: args.journal.clone().map(std::path::PathBuf::from),
+        ..CommonArgs::default()
     };
-    if let Err(e) = std::fs::write(out_path, json) {
-        eprintln!("bench sim: cannot write {out_path}: {e}");
+    let mut journal = common.journal_writer("bench_sim", &common.pipeline_options(), None);
+    let report = pulp_bench::sim_bench::run_sim_bench_journaled(&opts, journal.as_mut());
+    common.finish_journal(journal);
+    print!("{}", report.render_table());
+    if !write_record(
+        "sim",
+        args.out.as_deref().unwrap_or("BENCH_sim.json"),
+        &report,
+    ) {
         return ExitCode::FAILURE;
     }
-    println!("wrote {out_path}");
-    match report.verify() {
+    verdict(
+        "sim",
+        report.verify(),
+        "all runs bit-identical to the single-step oracle",
+    )
+}
+
+/// Writes a bench record as pretty JSON, reporting the outcome.
+fn write_record<T: serde::Serialize>(kind: &str, path: &str, report: &T) -> bool {
+    let written = pulp_bench::write_json(std::path::Path::new(path), report);
+    match &written {
+        Ok(()) => println!("wrote {path}"),
+        Err(e) => eprintln!("bench {kind}: {e}"),
+    }
+    written.is_ok()
+}
+
+/// Exit status of a bench run: 0 when its invariants hold, 1 listing
+/// every violation otherwise.
+fn verdict(kind: &str, verified: Result<(), Vec<String>>, ok: &str) -> ExitCode {
+    match verified {
         Ok(()) => {
-            println!("bench sim: all runs bit-identical to the single-step oracle");
+            println!("bench {kind}: {ok}");
             ExitCode::SUCCESS
         }
         Err(problems) => {
-            eprintln!("bench sim: {} invariant violation(s):", problems.len());
+            eprintln!("bench {kind}: {} invariant violation(s):", problems.len());
             for p in &problems {
                 eprintln!("  {p}");
             }
@@ -963,60 +857,28 @@ fn cmd_bench_sim(args: &Args) -> ExitCode {
 
 /// The server capacity knobs implied by the command line.
 fn serve_options(args: &Args) -> ServeOptions {
-    let mut o = ServeOptions::default();
-    if let Some(n) = args.workers {
-        o.workers = n;
-    }
-    if let Some(n) = args.queue_depth {
-        o.queue_depth = n;
-    }
-    if let Some(n) = args.timeout_ms {
-        o.timeout_ms = n;
-    }
-    if let Some(n) = args.max_body_bytes {
-        o.max_body_bytes = n;
-    }
-    if let Some(n) = args.keepalive_max {
-        o.keepalive_max_requests = n;
-    }
-    if let Some(n) = args.slow_ms {
-        o.slow_ms = n;
-    }
-    if let Some(n) = args.flight_capacity {
-        o.flight_capacity = n;
-    }
-    if let Some(n) = args.retry_after_secs {
-        o.retry_after_secs = n;
-    }
-    o
-}
-
-/// The log format implied by `--log-json`.
-fn log_format(args: &Args) -> LogFormat {
-    if args.log_json {
-        LogFormat::Json
-    } else {
-        LogFormat::Text
+    let d = ServeOptions::default();
+    ServeOptions {
+        workers: args.workers.unwrap_or(d.workers),
+        queue_depth: args.queue_depth.unwrap_or(d.queue_depth),
+        timeout_ms: args.timeout_ms.unwrap_or(d.timeout_ms),
+        max_body_bytes: args.max_body_bytes.unwrap_or(d.max_body_bytes),
+        keepalive_max_requests: args.keepalive_max.unwrap_or(d.keepalive_max_requests),
+        slow_ms: args.slow_ms.unwrap_or(d.slow_ms),
+        flight_capacity: args.flight_capacity.unwrap_or(d.flight_capacity),
+        retry_after_secs: args.retry_after_secs.unwrap_or(d.retry_after_secs),
     }
 }
 
 fn cmd_serve(args: &Args) -> ExitCode {
-    let log = Logger::new(log_format(args));
-    let mut opts = if args.full {
-        PipelineOptions::default()
-    } else {
-        PipelineOptions::quick(QUICK_KERNELS)
+    let common = CommonArgs {
+        quick: !args.full,
+        cache_dir: args.cache_dir.clone().map(std::path::PathBuf::from),
+        log_json: args.log_json,
+        ..CommonArgs::default()
     };
-    if let Some(dir) = &args.cache_dir {
-        match SweepCache::new(dir) {
-            Ok(cache) => opts.cache = Some(Arc::new(cache)),
-            Err(e) => log.warn(
-                "serve",
-                "cannot open cache dir; continuing uncached",
-                &[("dir", dir.clone()), ("error", e.to_string())],
-            ),
-        }
-    }
+    let log = common.logger();
+    let opts = common.pipeline_options();
     log.info(
         "serve",
         "training model (this simulates the training sweep unless cached)...",
@@ -1031,7 +893,7 @@ fn cmd_serve(args: &Args) -> ExitCode {
     let state = Arc::new(
         ServeState::train(&opts)
             .with_flight_capacity(serve_opts.flight_capacity)
-            .with_logger(Logger::new(log_format(args))),
+            .with_logger(common.logger()),
     );
     let addr = args.addr.as_deref().unwrap_or("127.0.0.1:7878");
     let server = match Server::bind_with(addr, state, serve_opts) {
@@ -1083,17 +945,11 @@ fn cmd_bench_serve(args: &Args) -> ExitCode {
     } else {
         ServeBenchOptions::default()
     };
-    if let Some(rate) = args.rate {
-        opts.open_loop_rate_rps = rate;
-    }
-    if let Some(backend) = args.predictor {
-        opts.backend = backend;
-    }
+    opts.open_loop_rate_rps = args.rate.unwrap_or(opts.open_loop_rate_rps);
     eprintln!(
-        "bench serve: {} run, {} predictor ({} rounds of {} clients x {} requests, {} workers, \
+        "bench serve: {} run ({} rounds of {} clients x {} requests, {} workers, \
          queue depth {}, open-loop {} rps)...",
         if opts.quick { "quick" } else { "full" },
-        opts.backend.name(),
         opts.rounds,
         opts.clients,
         opts.requests_per_client,
@@ -1104,18 +960,9 @@ fn cmd_bench_serve(args: &Args) -> ExitCode {
     let run = run_serve_bench(&opts);
     print!("{}", run.report.render_table());
     let out_path = args.out.as_deref().unwrap_or("BENCH_serve.json");
-    let json = match serde_json::to_string_pretty(&run.report) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("bench serve: cannot serialise report: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = std::fs::write(out_path, json) {
-        eprintln!("bench serve: cannot write {out_path}: {e}");
+    if !write_record("serve", out_path, &run.report) {
         return ExitCode::FAILURE;
     }
-    println!("wrote {out_path}");
     if let Some(trace_path) = &args.trace_out {
         if let Err(e) = std::fs::write(trace_path, &run.trace_json) {
             eprintln!("bench serve: cannot write {trace_path}: {e}");
@@ -1130,19 +977,7 @@ fn cmd_bench_serve(args: &Args) -> ExitCode {
         }
         println!("wrote {hist_path} (open-loop latency histogram)");
     }
-    match run.verify() {
-        Ok(()) => {
-            println!("bench serve: all invariants hold");
-            ExitCode::SUCCESS
-        }
-        Err(problems) => {
-            eprintln!("bench serve: {} invariant violation(s):", problems.len());
-            for p in &problems {
-                eprintln!("  {p}");
-            }
-            ExitCode::FAILURE
-        }
-    }
+    verdict("serve", run.verify(), "all invariants hold")
 }
 
 /// Runs the model-zoo evaluation benchmark and writes `BENCH_models.json`
@@ -1173,7 +1008,7 @@ fn cmd_bench_models(args: &Args) -> ExitCode {
         }
     );
     let mut journal = common.journal_writer("bench_models", &opts, Some(&protocol));
-    let data = pulp_bench::load_or_build_dataset_observed(&opts, &common, journal.as_mut());
+    let data = pulp_bench::load_or_build_dataset(&opts, &common, journal.as_mut());
     let mut report = run_models_bench(&data, &protocol, args.quick);
     let manifest = common.write_manifest("bench_models", &opts, Some(&protocol), start);
     report.manifest_hash = manifest.manifest_hash();
@@ -1195,43 +1030,32 @@ fn cmd_bench_models(args: &Args) -> ExitCode {
     }
     common.finish_journal(journal);
     print!("{}", report.render_table());
-    let out_path = args.out.as_deref().unwrap_or("BENCH_models.json");
-    let json = match serde_json::to_string_pretty(&report) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!("bench models: cannot serialise report: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Err(e) = std::fs::write(out_path, json) {
-        eprintln!("bench models: cannot write {out_path}: {e}");
+    if !write_record(
+        "models",
+        args.out.as_deref().unwrap_or("BENCH_models.json"),
+        &report,
+    ) {
         return ExitCode::FAILURE;
     }
-    println!("wrote {out_path}");
-    match report.verify() {
-        Ok(()) => {
-            println!("bench models: flat inference bit-exact with the float reference");
-            ExitCode::SUCCESS
-        }
-        Err(problems) => {
-            eprintln!("bench models: {} invariant violation(s):", problems.len());
-            for p in &problems {
-                eprintln!("  {p}");
-            }
-            ExitCode::FAILURE
-        }
-    }
+    verdict(
+        "models",
+        report.verify(),
+        "flat inference bit-exact with the float reference",
+    )
 }
 
-fn find_kernel<'a>(defs: &'a [KernelDef], name: &str) -> Option<&'a KernelDef> {
-    let found = defs.iter().find(|d| d.name == name);
-    if found.is_none() {
+/// The kernel named by the second positional, built at `--dtype` /
+/// `--size`. A missing or unknown name, an unsupported dtype or a failed
+/// build is reported on stderr and yields `None` (a usage error).
+fn kernel_arg(args: &Args, defs: &[KernelDef]) -> Option<Kernel> {
+    let Some(name) = &args.kernel else {
+        eprint!("{}", USAGE.render("pulp_cli"));
+        return None;
+    };
+    let Some(def) = defs.iter().find(|d| d.name == *name) else {
         eprintln!("unknown kernel `{name}`; run `pulp_cli list`");
-    }
-    found
-}
-
-fn instantiate(def: &KernelDef, args: &Args) -> Option<Kernel> {
+        return None;
+    };
     let dtype = args.dtype.unwrap_or_else(|| {
         if def.supports(DType::F32) {
             DType::F32
@@ -1243,219 +1067,94 @@ fn instantiate(def: &KernelDef, args: &Args) -> Option<Kernel> {
         eprintln!("kernel {} does not support {dtype}", def.name);
         return None;
     }
-    match def.build(&KernelParams::new(dtype, args.size)) {
-        Ok(k) => Some(k),
-        Err(e) => {
-            eprintln!("cannot instantiate {}: {e}", def.name);
-            None
-        }
-    }
+    def.build(&KernelParams::new(dtype, args.size))
+        .map_err(|e| eprintln!("cannot instantiate {}: {e}", def.name))
+        .ok()
 }
 
-fn main() -> ExitCode {
-    let Some(args) = parse_args() else {
-        return usage();
-    };
-    let defs = registry();
+/// Runs one of the commands that take a kernel; an error is the message
+/// to print before exiting 1.
+fn cmd_kernel(args: &Args, kernel: &Kernel) -> Result<(), String> {
     let config = ClusterConfig::default();
-
+    let name = args.kernel.as_deref().unwrap_or_default();
+    let budget = args.max_cycles.unwrap_or(DEFAULT_RUN_BUDGET);
     match args.command.as_str() {
-        "list" => {
-            println!("{:<24} {:<10} dtypes", "kernel", "suite");
-            for d in &defs {
-                let dtypes: Vec<String> = d.dtypes.iter().map(|t| t.to_string()).collect();
-                println!(
-                    "{:<24} {:<10} {}",
-                    d.name,
-                    d.suite.to_string(),
-                    dtypes.join(",")
-                );
-            }
-            ExitCode::SUCCESS
-        }
-        "pretty" => {
-            let Some(name) = &args.kernel else {
-                return usage();
-            };
-            let Some(def) = find_kernel(&defs, name) else {
-                return ExitCode::FAILURE;
-            };
-            let Some(kernel) = instantiate(def, &args) else {
-                return ExitCode::FAILURE;
-            };
-            print!("{kernel}");
-            ExitCode::SUCCESS
-        }
+        "pretty" => print!("{kernel}"),
         "features" => {
-            let Some(name) = &args.kernel else {
-                return usage();
-            };
-            let Some(def) = find_kernel(&defs, name) else {
-                return ExitCode::FAILURE;
-            };
-            let Some(kernel) = instantiate(def, &args) else {
-                return ExitCode::FAILURE;
-            };
             for (n, v) in static_feature_names()
                 .iter()
-                .zip(static_feature_vector(&kernel))
+                .zip(static_feature_vector(kernel))
             {
                 println!("{n:>10} = {v:.4}");
             }
-            ExitCode::SUCCESS
         }
         "disasm" => {
-            let Some(name) = &args.kernel else {
-                return usage();
-            };
-            let Some(def) = find_kernel(&defs, name) else {
-                return ExitCode::FAILURE;
-            };
-            let Some(kernel) = instantiate(def, &args) else {
-                return ExitCode::FAILURE;
-            };
-            match lower(&kernel, args.team, &config) {
-                Ok(lowered) => {
-                    print!("{}", lowered.program.disassemble());
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("lowering failed: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+            let lowered =
+                lower(kernel, args.team, &config).map_err(|e| format!("lowering failed: {e}"))?;
+            print!("{}", lowered.program.disassemble());
         }
         "measure" => {
-            let Some(name) = &args.kernel else {
-                return usage();
-            };
-            let Some(def) = find_kernel(&defs, name) else {
-                return ExitCode::FAILURE;
-            };
-            let Some(kernel) = instantiate(def, &args) else {
-                return ExitCode::FAILURE;
-            };
-            match measure_kernel(&kernel, &config, &EnergyModel::table1()) {
-                Ok(profile) => {
-                    println!(
-                        "{:>6} {:>12} {:>10} {:>9}",
-                        "cores", "energy [uJ]", "cycles", "speedup"
-                    );
-                    for c in 0..8 {
-                        let mark = if c == profile.label() {
-                            "  <== min energy"
-                        } else {
-                            ""
-                        };
-                        println!(
-                            "{:>6} {:>12.4} {:>10} {:>8.2}x{mark}",
-                            c + 1,
-                            profile.energy[c] * 1e-9,
-                            profile.cycles[c],
-                            profile.speedup(c)
-                        );
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("measurement failed: {e}");
-                    ExitCode::FAILURE
-                }
+            let profile = measure_kernel(kernel, &config, &EnergyModel::table1())
+                .map_err(|e| format!("measurement failed: {e}"))?;
+            println!(
+                "{:>6} {:>12} {:>10} {:>9}",
+                "cores", "energy [uJ]", "cycles", "speedup"
+            );
+            for c in 0..8 {
+                let mark = if c == profile.label() {
+                    "  <== min energy"
+                } else {
+                    ""
+                };
+                println!(
+                    "{:>6} {:>12.4} {:>10} {:>8.2}x{mark}",
+                    c + 1,
+                    profile.energy[c] * 1e-9,
+                    profile.cycles[c],
+                    profile.speedup(c)
+                );
             }
         }
         "classify" => {
-            let Some(name) = &args.kernel else {
-                return usage();
-            };
-            let Some(def) = find_kernel(&defs, name) else {
-                return ExitCode::FAILURE;
-            };
-            let Some(kernel) = instantiate(def, &args) else {
-                return ExitCode::FAILURE;
-            };
             eprintln!("training on the quick kernel set...");
-            let data = match LabeledDataset::build(&PipelineOptions::quick(QUICK_KERNELS)) {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("training-set build failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let ds = match data.static_dataset(StaticFeatureSet::All) {
-                Ok(d) => d,
-                Err(e) => {
-                    eprintln!("dataset assembly failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+            let data = LabeledDataset::build(&PipelineOptions::quick(QUICK_KERNELS))
+                .map_err(|e| format!("training-set build failed: {e}"))?;
+            let ds = data
+                .static_dataset(StaticFeatureSet::All)
+                .map_err(|e| format!("dataset assembly failed: {e}"))?;
             let mut tree = DecisionTree::new(TreeParams::default());
             tree.fit(&ds);
-            let predicted = tree.predict(&static_feature_vector(&kernel));
+            let predicted = tree.predict(&static_feature_vector(kernel));
             println!(
                 "predicted minimum-energy configuration: {} cores",
                 predicted + 1
             );
-            if let Ok(profile) = measure_kernel(&kernel, &config, &EnergyModel::table1()) {
+            if let Ok(profile) = measure_kernel(kernel, &config, &EnergyModel::table1()) {
                 println!(
                     "simulated ground truth: {} cores (waste of prediction: {:.2}%)",
                     profile.label() + 1,
                     profile.waste(predicted) * 100.0
                 );
             }
-            ExitCode::SUCCESS
         }
         "mca" => {
-            let Some(name) = &args.kernel else {
-                return usage();
-            };
-            let Some(def) = find_kernel(&defs, name) else {
-                return ExitCode::FAILURE;
-            };
-            let Some(kernel) = instantiate(def, &args) else {
-                return ExitCode::FAILURE;
-            };
-            let block = pulp_mca::kernel_block(&kernel);
+            let block = pulp_mca::kernel_block(kernel);
             let features = pulp_mca::analyze_block(&block, pulp_mca::DEFAULT_ITERATIONS);
             print!(
                 "{}",
                 pulp_mca::render_report(block.len(), pulp_mca::DEFAULT_ITERATIONS, &features)
             );
-            ExitCode::SUCCESS
         }
         "profile" => {
-            let Some(name) = &args.kernel else {
-                return usage();
-            };
-            let Some(def) = find_kernel(&defs, name) else {
-                return ExitCode::FAILURE;
-            };
-            let Some(kernel) = instantiate(def, &args) else {
-                return ExitCode::FAILURE;
-            };
             let model = EnergyModel::table1();
             for team in 1..=config.num_cores {
-                let lowered = match lower(&kernel, team, &config) {
-                    Ok(l) => l,
-                    Err(e) => {
-                        eprintln!("lowering failed at team {team}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                let run = match profile_run(
-                    &config,
-                    &lowered.program,
-                    args.max_cycles.unwrap_or(DEFAULT_RUN_BUDGET),
-                ) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("simulation failed at team {team}: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
-                if let Err(e) = run.stats.check_consistency() {
-                    eprintln!("attribution inconsistent at team {team}: {e}");
-                    return ExitCode::FAILURE;
-                }
+                let lowered = lower(kernel, team, &config)
+                    .map_err(|e| format!("lowering failed at team {team}: {e}"))?;
+                let run = profile_run(&config, &lowered.program, budget)
+                    .map_err(|e| format!("simulation failed at team {team}: {e}"))?;
+                run.stats
+                    .check_consistency()
+                    .map_err(|e| format!("attribution inconsistent at team {team}: {e}"))?;
                 let attributed = run.stats.breakdown_totals().total();
                 println!("== {name} team {team} ==");
                 print!("{}", run.stats.summary());
@@ -1477,66 +1176,59 @@ fn main() -> ExitCode {
                 print!("{}", energy_waterfall(&run.stats, &model, &config));
                 println!();
             }
-            ExitCode::SUCCESS
         }
-        "trace" => {
-            let Some(name) = &args.kernel else {
-                return usage();
-            };
-            let Some(def) = find_kernel(&defs, name) else {
-                return ExitCode::FAILURE;
-            };
-            let Some(kernel) = instantiate(def, &args) else {
-                return ExitCode::FAILURE;
-            };
-            let lowered = match lower(&kernel, args.team, &config) {
-                Ok(l) => l,
-                Err(e) => {
-                    eprintln!("lowering failed: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
+        _ => {
+            let lowered =
+                lower(kernel, args.team, &config).map_err(|e| format!("lowering failed: {e}"))?;
             if let Some(path) = &args.chrome {
-                let run = match profile_run(
-                    &config,
-                    &lowered.program,
-                    args.max_cycles.unwrap_or(DEFAULT_RUN_BUDGET),
-                ) {
-                    Ok(r) => r,
-                    Err(e) => {
-                        eprintln!("simulation failed: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                };
+                let run = profile_run(&config, &lowered.program, budget)
+                    .map_err(|e| format!("simulation failed: {e}"))?;
                 let mut rec = recorder_of_run(&run);
                 energy_waterfall(&run.stats, &EnergyModel::table1(), &config).record(&mut rec);
                 let json = pulp_obs::chrome_trace(&rec, &format!("pulp_cli {name} t{}", args.team));
-                if let Err(e) = std::fs::write(path, &json) {
-                    eprintln!("cannot write {path}: {e}");
-                    return ExitCode::FAILURE;
-                }
+                std::fs::write(path, &json).map_err(|e| format!("cannot write {path}: {e}"))?;
                 println!(
                     "wrote {path}: {} cycles, {} spans (load in chrome://tracing or ui.perfetto.dev)",
                     run.stats.cycles,
                     rec.spans().len()
                 );
-                ExitCode::SUCCESS
             } else {
                 let mut sink = TextSink::new();
-                match simulate_traced(
-                    &config,
-                    &lowered.program,
-                    args.max_cycles.unwrap_or(DEFAULT_RUN_BUDGET),
-                    &mut sink,
-                ) {
-                    Ok(_) => {
-                        print!("{}", sink.text);
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => {
-                        eprintln!("simulation failed: {e}");
-                        ExitCode::FAILURE
-                    }
+                simulate_traced(&config, &lowered.program, budget, &mut sink)
+                    .map_err(|e| format!("simulation failed: {e}"))?;
+                print!("{}", sink.text);
+            }
+        }
+    }
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    let args = cli::parse_env(&USAGE, decode);
+    let defs = registry();
+    match args.command.as_str() {
+        "list" => {
+            println!("{:<24} {:<10} dtypes", "kernel", "suite");
+            for d in &defs {
+                let dtypes: Vec<String> = d.dtypes.iter().map(|t| t.to_string()).collect();
+                println!(
+                    "{:<24} {:<10} {}",
+                    d.name,
+                    d.suite.to_string(),
+                    dtypes.join(",")
+                );
+            }
+            ExitCode::SUCCESS
+        }
+        "pretty" | "features" | "disasm" | "measure" | "classify" | "mca" | "profile" | "trace" => {
+            let Some(kernel) = kernel_arg(&args, &defs) else {
+                return ExitCode::from(2);
+            };
+            match cmd_kernel(&args, &kernel) {
+                Ok(()) => ExitCode::SUCCESS,
+                Err(e) => {
+                    eprintln!("{e}");
+                    ExitCode::FAILURE
                 }
             }
         }
@@ -1612,6 +1304,27 @@ mod tests {
     /// [`bench_regressions_with`] at the default serve p99 tolerance.
     fn bench_regressions(old: &Value, new: &Value) -> Result<Vec<String>, String> {
         bench_regressions_with(old, new, SERVE_P99_TOLERANCE)
+    }
+
+    #[test]
+    fn ci_command_lines_parse() {
+        for line in [
+            "journal validate run.jsonl",
+            "report run.jsonl",
+            "bench diff baselines/BENCH_serve.json BENCH_serve.json --p99-tolerance 0.10",
+            "bench history baselines",
+            "bench sim --quick --out BENCH_sim.json --journal sim_run.jsonl",
+            "bench serve --quick --out S.json --trace-out T.json --hist-out H.json",
+            "bench models --quick --out BENCH_models.json --journal models_run.jsonl",
+        ] {
+            assert!(
+                parse_from(line.split(' ').map(String::from)).is_some(),
+                "{line}"
+            );
+        }
+        // `--help` parses without a command; an unknown flag never does.
+        assert!(parse(&["--help"]).is_some());
+        assert!(parse(&["bench", "serve", "--predictor", "float"]).is_none());
     }
 
     #[test]
@@ -2181,18 +1894,6 @@ mod tests {
         assert!(parse(&["bench", "models", "--cv-threads", "0"]).is_none());
         assert!(parse(&["bench", "models", "--cv-threads", "x"]).is_none());
         assert!(parse(&["bench", "models", "--cv-threads"]).is_none());
-    }
-
-    #[test]
-    fn predictor_flag_parses_strictly() {
-        let a = parse(&["bench", "serve", "--quick", "--predictor", "float"]).expect("parse");
-        assert_eq!(a.predictor, Some(PredictorBackend::Float));
-        let a = parse(&["bench", "serve", "--predictor", "flat"]).expect("parse");
-        assert_eq!(a.predictor, Some(PredictorBackend::Flat));
-        // Default: no override, the bench keeps its flat default.
-        assert_eq!(parse(&["bench", "serve"]).expect("parse").predictor, None);
-        assert!(parse(&["bench", "serve", "--predictor", "boxed"]).is_none());
-        assert!(parse(&["bench", "serve", "--predictor"]).is_none());
     }
 
     #[test]

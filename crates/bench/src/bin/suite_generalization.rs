@@ -25,7 +25,7 @@ fn main() {
     let start = std::time::Instant::now();
     let args = CommonArgs::parse();
     let opts = args.pipeline_options();
-    let data = load_or_build_dataset(&opts, &args);
+    let data = load_or_build_dataset(&opts, &args, None);
     let all = data.static_dataset(StaticFeatureSet::All).expect("static");
     let energies = data.energies();
 

@@ -7,14 +7,11 @@
 //! compares medians: a real regression (someone making the hooks
 //! non-inlinable or adding work outside them) shows up as a stable gap.
 //!
-//! ```text
-//! telemetry_guard [--iters N] [--threshold PCT] [--strict]
-//! ```
-//!
 //! Exits nonzero only with `--strict` (CI noise on shared runners makes a
 //! hard default gate flaky; the 2% threshold is the contract).
 
 use kernel_ir::{lower, DType};
+use pulp_bench::cli::{self, Cli, Flag, Usage};
 use pulp_kernels::{registry, KernelParams};
 use pulp_sim::{
     simulate_instrumented, simulate_traced, ClusterConfig, NoTelemetry, NullSink, Program,
@@ -22,31 +19,28 @@ use pulp_sim::{
 use std::process::ExitCode;
 use std::time::Instant;
 
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag::valued("--iters",     "n",   "timed runs per entry point (default: 21)"),
+    Flag::valued("--threshold", "pct", "allowed median overhead in % (default: 2)"),
+    Flag::switch("--strict",           "exit 1 when the overhead exceeds the threshold"),
+];
+
+const USAGE: Usage = Usage::options(&[FLAGS]);
+
 struct Args {
     iters: usize,
     threshold: f64,
     strict: bool,
 }
 
-fn parse_args() -> Option<Args> {
-    let mut args = Args {
-        iters: 21,
-        threshold: 2.0,
-        strict: false,
-    };
-    let mut argv = std::env::args().skip(1);
-    while let Some(a) = argv.next() {
-        match a.as_str() {
-            "--iters" => args.iters = argv.next()?.parse().ok()?,
-            "--threshold" => args.threshold = argv.next()?.parse().ok()?,
-            "--strict" => args.strict = true,
-            other => {
-                eprintln!("unknown argument {other}");
-                return None;
-            }
-        }
-    }
-    Some(args)
+fn decode(cli: &Cli) -> Result<Args, String> {
+    cli.no_positionals()?;
+    Ok(Args {
+        iters: cli.positive("--iters")?.unwrap_or(21),
+        threshold: cli.positive_f64("--threshold")?.unwrap_or(2.0),
+        strict: cli.switch("--strict"),
+    })
 }
 
 fn median(mut xs: Vec<f64>) -> f64 {
@@ -69,10 +63,7 @@ fn workload(config: &ClusterConfig) -> Program {
 }
 
 fn main() -> ExitCode {
-    let Some(args) = parse_args() else {
-        eprintln!("usage: telemetry_guard [--iters N] [--threshold PCT] [--strict]");
-        return ExitCode::FAILURE;
-    };
+    let args = cli::parse_env(&USAGE, decode);
     let config = ClusterConfig::default();
     let program = workload(&config);
 
@@ -142,4 +133,39 @@ fn main() -> ExitCode {
         println!("OK: no-op telemetry is within the contract");
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(line: &str) -> Result<Args, String> {
+        Cli::parse(line.split_whitespace().map(String::from), USAGE.tables).and_then(|c| decode(&c))
+    }
+
+    #[test]
+    fn ci_command_line_parses() {
+        let a = parse("--iters 31 --threshold 2 --strict").expect("CI flags");
+        assert_eq!((a.iters, a.threshold, a.strict), (31, 2.0, true));
+        let d = parse("").expect("defaults");
+        assert_eq!((d.iters, d.threshold, d.strict), (21, 2.0, false));
+    }
+
+    #[test]
+    fn zero_iters_is_rejected() {
+        // Regression: `--iters 0` panicked taking the median of no runs.
+        let err = parse("--iters 0").err().expect("zero iterations");
+        assert!(err.contains("--iters") && err.contains("`0`"), "{err}");
+    }
+
+    #[test]
+    fn non_finite_threshold_is_rejected() {
+        // Regression: `--threshold nan` made the gate always pass.
+        for bad in ["nan", "inf", "0", "-1"] {
+            let err = parse(&format!("--threshold {bad}"))
+                .err()
+                .expect("bad threshold");
+            assert!(err.contains("--threshold") && err.contains(bad), "{err}");
+        }
+    }
 }

@@ -41,7 +41,7 @@ fn main() {
         args.logger()
             .info("unroll", "training factor-1 predictor", &[]);
     }
-    let data = pulp_bench::load_or_build_dataset(&opts, &args);
+    let data = pulp_bench::load_or_build_dataset(&opts, &args, None);
     let predictor =
         EnergyPredictor::train(&data, StaticFeatureSet::All, TreeParams::default()).expect("train");
 

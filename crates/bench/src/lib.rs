@@ -3,25 +3,20 @@
 //! One binary per table/figure of the paper (see DESIGN.md §5 and
 //! EXPERIMENTS.md), plus Criterion micro-benchmarks of the substrates.
 //!
-//! All experiment binaries accept:
+//! Every binary declares its flags in a [`cli::Flag`] table and parses
+//! them with the one strict parser in [`cli`]: an unknown flag, a missing
+//! value or a malformed value names the flag on stderr and exits 2 before
+//! anything runs, and `--help`/`-h` prints the usage generated from the
+//! same tables and exits 0.
 //!
-//! * `--quick` — reduced dataset (subset of kernels, 2 payload sizes) and
-//!   reduced CV protocol; for smoke-testing the harness.
-//! * `--json <path>` — dump the machine-readable record next to the text
-//!   report.
-//! * `--threads <n>` — simulation worker threads (default: all cores).
-//! * `--cv-threads <n>` — cross-validation worker threads (default: all
-//!   cores; predictions are bit-identical at any value).
-//! * `--cache-dir <dir>` — content-addressed sweep cache; repeat runs skip
-//!   every previously simulated sample.
-//! * `--progress` — per-sample progress lines on stderr during the sweep.
-//! * `--quiet` — suppress informational stderr chatter.
-//!
-//! Without `--cache-dir` the full dataset build (448 samples × 8 team
-//! sizes) is cached wholesale on disk (`target/pulp-dataset-*.json`) so
-//! consecutive experiments reuse it; with `--cache-dir` that coarse cache
-//! is bypassed in favour of the per-sample sweep cache.
+//! All experiment binaries accept [`COMMON_FLAGS`]; `--quick` runs the
+//! reduced dataset and CV protocol, and `--cache-dir <dir>` is the only
+//! dataset cache: a content-addressed per-sample sweep store, so a warm
+//! rerun simulates nothing. Without it every run simulates the whole
+//! dataset. Predictions are bit-identical at any `--threads` or
+//! `--cv-threads` value.
 
+pub mod cli;
 pub mod models_bench;
 pub mod net;
 pub mod profiling;
@@ -39,28 +34,30 @@ pub use serve_bench::{
 };
 pub use sim_bench::{basket_program, run_sim_bench, SimBenchOptions, SimBenchReport, SimBenchRow};
 
+use cli::{Cli, Flag, Usage};
 use pulp_energy::pipeline::{BuildObserver, LabeledDataset, PipelineOptions};
 use pulp_energy::{Protocol, RunManifest, SweepCache};
-use pulp_obs::{JournalEvent, JournalWriter, LogFormat, Logger, Recorder};
+use pulp_obs::{JournalWriter, LogFormat, Logger, Recorder};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Usage text printed for `--help` and when a common flag is given an
-/// invalid value.
-pub const COMMON_USAGE: &str = "common options:
-  --quick             reduced dataset + reduced CV protocol
-  --json <path>       dump the machine-readable record to <path>
-  --threads <n>       simulation worker threads (0 = all cores)
-  --cv-threads <n>    cross-validation worker threads (0 = all cores)
-  --cache-dir <dir>   content-addressed sweep cache directory
-  --progress          per-sample progress lines on stderr
-  --quiet             suppress informational stderr chatter
-  --log-json          JSON-lines structured logs on stderr (default: text)
-  --manifest <path>   run-manifest output path (default: manifest.json)
-  --no-manifest       skip writing the run manifest
-  --max-cycles <n>    per-run simulation cycle budget (positive integer)
-  --journal <path>    append-only JSONL run journal (read with `pulp_cli report`)";
+/// The flags every experiment binary accepts.
+#[rustfmt::skip]
+pub const COMMON_FLAGS: &[Flag] = &[
+    Flag::switch("--quick",               "reduced dataset + reduced CV protocol"),
+    Flag::valued("--json",        "path", "dump the machine-readable record to <path>"),
+    Flag::valued("--threads",     "n",    "simulation worker threads (0 = all cores)"),
+    Flag::valued("--cv-threads",  "n",    "cross-validation worker threads (0 = all cores)"),
+    Flag::valued("--cache-dir",   "dir",  "content-addressed sweep cache directory"),
+    Flag::switch("--progress",            "per-sample progress lines on stderr"),
+    Flag::switch("--quiet",               "suppress informational stderr chatter"),
+    Flag::switch("--log-json",            "JSON-lines structured logs on stderr"),
+    Flag::valued("--manifest",    "path", "run-manifest path (default: manifest.json)"),
+    Flag::switch("--no-manifest",         "skip writing the run manifest"),
+    Flag::valued("--max-cycles",  "n",    "per-run simulation cycle budget"),
+    Flag::valued("--journal",     "path", "JSONL run journal (read with `pulp_cli report`)"),
+];
 
 /// Parsed common command-line options.
 #[derive(Debug, Clone, Default)]
@@ -95,85 +92,48 @@ pub struct CommonArgs {
     pub help: bool,
 }
 
-fn flag_value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<String, String> {
-    match args.next() {
-        Some(v) if !v.starts_with("--") => Ok(v),
-        _ => Err(format!("{flag} requires a value")),
-    }
-}
-
-fn numeric_value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<usize, String> {
-    let v = flag_value(args, flag)?;
-    v.parse()
-        .map_err(|_| format!("{flag} expects a non-negative integer, got `{v}`"))
-}
-
-fn positive_u64_value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<u64, String> {
-    let v = flag_value(args, flag)?;
-    match v.parse::<u64>() {
-        Ok(n) if n > 0 => Ok(n),
-        _ => Err(format!("{flag} expects a positive integer, got `{v}`")),
-    }
-}
-
 impl CommonArgs {
-    /// Parses `std::env::args`; invalid values for known flags print the
-    /// usage message and exit with status 2 instead of panicking or being
-    /// silently replaced by a default. `--help`/`-h` prints the usage to
-    /// stdout and exits 0 before anything runs.
+    /// Parses the process arguments against [`COMMON_FLAGS`]: an unknown
+    /// flag, a missing or malformed value or a stray argument prints the
+    /// error and the usage and exits 2; `--help`/`-h` prints the usage and
+    /// exits 0 before anything runs.
     pub fn parse() -> Self {
-        match Self::parse_from(std::env::args().skip(1)) {
-            Ok(args) if args.help => {
-                println!("{COMMON_USAGE}");
-                std::process::exit(0);
-            }
-            Ok(args) => args,
-            Err(msg) => {
-                eprintln!("error: {msg}\n\n{COMMON_USAGE}");
-                std::process::exit(2);
-            }
-        }
+        cli::parse_env(&Usage::options(&[COMMON_FLAGS]), Self::from_cli)
     }
 
     /// [`parse`](Self::parse) over an explicit argument list (testable).
-    ///
-    /// Unknown flags and bare tokens are ignored — binaries with extra
-    /// options (e.g. `telemetry_guard --iters 31`) share this parser — but
-    /// a known flag with a missing or malformed value is an error.
     ///
     /// # Errors
     ///
     /// Returns a human-readable message naming the offending flag.
     pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
-        let mut out = Self::default();
-        let mut args = args.into_iter();
-        while let Some(a) = args.next() {
-            match a.as_str() {
-                "--quick" => out.quick = true,
-                "--json" => out.json = Some(PathBuf::from(flag_value(&mut args, "--json")?)),
-                "--threads" => out.threads = numeric_value(&mut args, "--threads")?,
-                "--cv-threads" => out.cv_threads = numeric_value(&mut args, "--cv-threads")?,
-                "--cache-dir" => {
-                    out.cache_dir = Some(PathBuf::from(flag_value(&mut args, "--cache-dir")?));
-                }
-                "--progress" => out.progress = true,
-                "--quiet" => out.quiet = true,
-                "--log-json" => out.log_json = true,
-                "--manifest" => {
-                    out.manifest = Some(PathBuf::from(flag_value(&mut args, "--manifest")?));
-                }
-                "--no-manifest" => out.no_manifest = true,
-                "--max-cycles" => {
-                    out.max_cycles = Some(positive_u64_value(&mut args, "--max-cycles")?);
-                }
-                "--journal" => {
-                    out.journal = Some(PathBuf::from(flag_value(&mut args, "--journal")?));
-                }
-                "--help" | "-h" => out.help = true,
-                _ => {}
-            }
-        }
-        Ok(out)
+        Self::from_cli(&Cli::parse(args, &[COMMON_FLAGS])?)
+    }
+
+    /// Decodes the common flags of a parsed command line; binaries with
+    /// their own table parse against `[COMMON_FLAGS, OWN_FLAGS]` and call
+    /// this for the shared part.
+    ///
+    /// # Errors
+    ///
+    /// Names the flag and value at fault, or the first stray argument.
+    pub fn from_cli(cli: &Cli) -> Result<Self, String> {
+        cli.no_positionals()?;
+        Ok(Self {
+            quick: cli.switch("--quick"),
+            json: cli.path("--json"),
+            threads: cli.non_negative("--threads")?.unwrap_or(0),
+            cv_threads: cli.non_negative("--cv-threads")?.unwrap_or(0),
+            cache_dir: cli.path("--cache-dir"),
+            progress: cli.switch("--progress"),
+            quiet: cli.switch("--quiet"),
+            log_json: cli.switch("--log-json"),
+            manifest: cli.path("--manifest"),
+            no_manifest: cli.switch("--no-manifest"),
+            max_cycles: cli.positive("--max-cycles")?,
+            journal: cli.path("--journal"),
+            help: cli.help(),
+        })
     }
 
     /// The pipeline options implied by these arguments. Opens the sweep
@@ -195,9 +155,10 @@ impl CommonArgs {
         if let Some(dir) = &self.cache_dir {
             match SweepCache::new(dir) {
                 Ok(cache) => opts.cache = Some(Arc::new(cache)),
-                Err(e) => eprintln!(
-                    "warning: cannot open cache dir {}: {e}; continuing uncached",
-                    dir.display()
+                Err(e) => self.logger().warn(
+                    "cache",
+                    "cannot open cache dir; continuing uncached",
+                    &[("dir", dir.display().to_string()), ("error", e.to_string())],
                 ),
             }
         }
@@ -337,17 +298,17 @@ impl CommonArgs {
 
     /// Writes `record` as pretty JSON if `--json` was given.
     pub fn dump_json<T: serde::Serialize>(&self, record: &T) {
-        if let Some(path) = &self.json {
-            match serde_json::to_string_pretty(record) {
-                Ok(s) => {
-                    if let Err(e) = std::fs::write(path, s) {
-                        eprintln!("warning: cannot write {}: {e}", path.display());
-                    }
-                }
-                Err(e) => eprintln!("warning: cannot serialise record: {e}"),
-            }
+        if let Some(Err(e)) = self.json.as_deref().map(|path| write_json(path, record)) {
+            eprintln!("warning: {e}");
         }
     }
+}
+
+/// Writes `record` to `path` as pretty JSON; the error names the path.
+pub fn write_json<T: serde::Serialize>(path: &Path, record: &T) -> Result<(), String> {
+    let json = serde_json::to_string_pretty(record)
+        .map_err(|e| format!("cannot serialise {}: {e}", path.display()))?;
+    std::fs::write(path, json).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 /// Kernel subset used by `--quick` runs: one representative per behaviour
@@ -363,79 +324,27 @@ pub const QUICK_KERNELS: &[&str] = &[
     "l2_stream",
 ];
 
-/// Builds the dataset, reusing an on-disk cache when the options match.
-/// `--quiet` suppresses the stderr chatter; `--progress` (already folded
-/// into `opts` by [`CommonArgs::pipeline_options`]) adds per-sample lines.
+/// Builds the dataset; with `--cache-dir` every sample is looked up in
+/// (and stored to) the content-addressed sweep cache, so a warm rebuild
+/// simulates nothing. `--quiet` suppresses the stderr chatter;
+/// `--progress` (already folded into `opts` by
+/// [`CommonArgs::pipeline_options`]) adds per-sample lines, which go
+/// through the binary's [`Logger`] so `--log-json` yields
+/// machine-readable progress too. With a run journal the build's stage
+/// events, per-shard heartbeats, slow kernels and cache attribution are
+/// appended to it.
 ///
 /// # Panics
 ///
 /// Panics when the dataset cannot be built — experiments cannot proceed
 /// without it.
-pub fn load_or_build_dataset(opts: &PipelineOptions, args: &CommonArgs) -> LabeledDataset {
-    load_or_build_dataset_observed(opts, args, None)
-}
-
-/// [`load_or_build_dataset`] with an optional run journal: the build's
-/// stage events, per-shard heartbeats, slow kernels and cache attribution
-/// are appended to `journal`, and the `--progress` line (with rate and
-/// ETA) goes through the binary's [`Logger`] — so `--log-json`
-/// yields machine-readable progress too. A dataset reused from the coarse
-/// JSON cache journals a `dataset_load` stage instead of a build.
-///
-/// # Panics
-///
-/// See [`load_or_build_dataset`].
-pub fn load_or_build_dataset_observed(
+pub fn load_or_build_dataset(
     opts: &PipelineOptions,
     args: &CommonArgs,
-    mut journal: Option<&mut JournalWriter>,
+    journal: Option<&mut JournalWriter>,
 ) -> LabeledDataset {
-    let quiet = args.quiet;
     let log = args.logger();
-    let journal_stage = |journal: &mut Option<&mut JournalWriter>, ev: JournalEvent| {
-        if let Some(j) = journal {
-            if let Err(e) = j.event(ev) {
-                eprintln!("[dataset] warning: journal write failed: {e}");
-            }
-        }
-    };
-    // With a sweep cache the per-sample entries are the source of truth:
-    // the coarse whole-dataset JSON cache is bypassed so every sample goes
-    // through (and populates) the content-addressed store.
-    let dataset_cache = if opts.cache.is_none() {
-        Some(cache_path(args.quick))
-    } else {
-        None
-    };
-    if let Some(cache) = &dataset_cache {
-        let load_t0 = std::time::Instant::now();
-        if let Ok(text) = std::fs::read_to_string(cache) {
-            if let Ok(data) = serde_json::from_str::<LabeledDataset>(&text) {
-                if !quiet {
-                    log.info(
-                        "dataset",
-                        "reusing cache",
-                        &[("path", cache.display().to_string())],
-                    );
-                }
-                journal_stage(
-                    &mut journal,
-                    JournalEvent::StageStart {
-                        stage: "dataset_load".into(),
-                    },
-                );
-                journal_stage(
-                    &mut journal,
-                    JournalEvent::StageEnd {
-                        stage: "dataset_load".into(),
-                        wall_ms: load_t0.elapsed().as_secs_f64() * 1e3,
-                    },
-                );
-                return data;
-            }
-        }
-    }
-    if !quiet {
+    if !args.quiet {
         log.info(
             "dataset",
             "building (this simulates every sample at 1..=8 cores)",
@@ -445,7 +354,7 @@ pub fn load_or_build_dataset_observed(
             )],
         );
     }
-    let start = std::time::Instant::now();
+    let start = Instant::now();
     let mut rec = Recorder::new();
     let data = LabeledDataset::build_observed(
         opts,
@@ -456,7 +365,7 @@ pub fn load_or_build_dataset_observed(
         },
     )
     .expect("dataset build failed");
-    if !quiet {
+    if !args.quiet {
         log.info(
             "dataset",
             "built",
@@ -473,44 +382,7 @@ pub fn load_or_build_dataset_observed(
         // invocations).
         log.info("cache", &sweep.stats().to_string(), &[]);
     }
-    if let Some(cache) = &dataset_cache {
-        if let Ok(s) = serde_json::to_string(&data) {
-            if std::fs::write(cache, s).is_ok() && !quiet {
-                log.info(
-                    "dataset",
-                    "cached",
-                    &[("path", cache.display().to_string())],
-                );
-            }
-        }
-    }
     data
-}
-
-fn cache_path(quick: bool) -> PathBuf {
-    let dir = std::env::var_os("CARGO_TARGET_DIR")
-        .map(PathBuf::from)
-        .unwrap_or_else(find_target_dir);
-    dir.join(if quick {
-        "pulp-dataset-quick.json"
-    } else {
-        "pulp-dataset-full.json"
-    })
-}
-
-fn find_target_dir() -> PathBuf {
-    // Walk up from the executable towards a `target` directory; fall back
-    // to the current directory.
-    if let Ok(exe) = std::env::current_exe() {
-        let mut p: &Path = exe.as_path();
-        while let Some(parent) = p.parent() {
-            if parent.file_name().is_some_and(|n| n == "target") {
-                return parent.to_path_buf();
-            }
-            p = parent;
-        }
-    }
-    PathBuf::from(".")
 }
 
 #[cfg(test)]
@@ -599,12 +471,20 @@ mod tests {
     }
 
     #[test]
-    fn parser_still_ignores_foreign_flags() {
-        // telemetry_guard shares this parser and adds its own options.
-        let args = parse(&["--iters", "31", "--threshold", "2", "--strict", "--quick"])
-            .expect("foreign flags pass through");
-        assert!(args.quick);
-        assert_eq!(args.threads, 0);
+    fn parser_rejects_unknown_flags() {
+        // Regression: `--quikc` used to run the full protocol and
+        // `--cv-thread 1` the default thread count.
+        for (argv, flag) in [
+            (&["--quikc"][..], "--quikc"),
+            (&["--quick", "--cv-thread", "1"], "--cv-thread"),
+            (&["--iters", "31"], "--iters"),
+            (&["-q"], "-q"),
+        ] {
+            let err = parse(argv).unwrap_err();
+            assert!(err.contains(&format!("unknown flag `{flag}`")), "{err}");
+        }
+        let err = parse(&["--quick", "stray"]).unwrap_err();
+        assert!(err.contains("`stray`"), "{err}");
     }
 
     #[test]

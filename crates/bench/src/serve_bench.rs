@@ -27,7 +27,7 @@
 //! microseconds either way, and this benchmark measures the serving layer
 //! (admission control, parsing, keep-alive) rather than the tree.
 
-use crate::serve::{PredictorBackend, ServeOptions, ServeState, Server};
+use crate::serve::{ServeOptions, ServeState, Server};
 use crate::QUICK_KERNELS;
 use pulp_energy::pipeline::PipelineOptions;
 use pulp_energy::static_feature_vector;
@@ -67,10 +67,6 @@ pub struct ServeBenchOptions {
     /// Keep-alive connections the open-loop generator spreads its
     /// arrival process over.
     pub open_loop_connections: usize,
-    /// Which compiled form of the model the server walks (`--predictor`).
-    /// Flat is the production default; `float` measures the boxed
-    /// reference tree so the flat path can be gated against it.
-    pub backend: PredictorBackend,
     /// Capacity knobs of the server under test.
     pub serve: ServeOptions,
 }
@@ -86,7 +82,6 @@ impl Default for ServeBenchOptions {
             open_loop_rate_rps: 2_000.0,
             open_loop_duration_s: 4.0,
             open_loop_connections: 8,
-            backend: PredictorBackend::default(),
             serve: ServeOptions::default(),
         }
     }
@@ -178,12 +173,11 @@ pub struct ServeBenchReport {
     pub bench: String,
     /// `true` for `--quick` runs (not comparable to full runs).
     pub quick: bool,
-    /// Predictor backend the server walked (`"flat"` or `"float"`).
-    /// Records written before the backend knob existed deserialise with
-    /// this empty; [`predictor_name`](Self::predictor_name) maps that to
-    /// `"float"` (what those runs actually measured), which is exactly
-    /// what lets `bench diff` gate a new flat record against a committed
-    /// float-era baseline.
+    /// Model form the server walked: always `"flat"` now. Records written
+    /// before the flat serving path existed deserialise with this empty;
+    /// [`predictor_name`](Self::predictor_name) maps that to `"float"`
+    /// (what those runs measured), so `bench diff` and `bench history`
+    /// read the committed float-era baseline unchanged.
     #[serde(default)]
     pub predictor: String,
     /// Concurrent clients that drove the run.
@@ -634,7 +628,7 @@ fn batch_matches_sequential(addr: SocketAddr, batch_size: usize) -> bool {
 /// there is nothing to measure without either.
 pub fn run_serve_bench(opts: &ServeBenchOptions) -> ServeBenchRun {
     let pipeline = PipelineOptions::quick(QUICK_KERNELS);
-    let state = Arc::new(ServeState::train(&pipeline).with_backend(opts.backend));
+    let state = Arc::new(ServeState::train(&pipeline));
     let server = Server::bind_with("127.0.0.1:0", Arc::clone(&state), opts.serve)
         .expect("bench: bind ephemeral port");
     let addr = server.addr;
@@ -820,7 +814,7 @@ pub fn run_serve_bench(opts: &ServeBenchOptions) -> ServeBenchRun {
         report: ServeBenchReport {
             bench: "serve".to_string(),
             quick: opts.quick,
-            predictor: opts.backend.name().to_string(),
+            predictor: "flat".to_string(),
             clients,
             rounds,
             workers: opts.serve.workers,
@@ -842,11 +836,11 @@ pub fn run_serve_bench(opts: &ServeBenchOptions) -> ServeBenchRun {
 }
 
 impl ServeBenchReport {
-    /// The backend this record measured, with the pre-knob empty field
+    /// The model form this record measured, with the pre-flat empty field
     /// normalised to `"float"` (see [`predictor`](Self::predictor)).
     pub fn predictor_name(&self) -> &str {
         if self.predictor.is_empty() {
-            PredictorBackend::Float.name()
+            "float"
         } else {
             &self.predictor
         }
