@@ -1,58 +1,25 @@
-//! `pulp_cli` — command-line front end to the whole stack.
+//! `pulp_cli` — command-line front end to the whole stack, and the one
+//! binary of `pulp-bench`.
 //!
-//! `pulp_cli --help` lists every command and every flag, generated from
-//! the same table the strict parser reads: an unknown flag, a missing
-//! value or a malformed value exits 2 naming the flag. `serve` logs its
-//! capacity knobs at startup; SIGTERM/ctrl-c or `POST /admin/shutdown`
-//! drain it gracefully.
-//!
-//! `bench sim` runs the fixed kernel basket (ALU-bound, TCDM-conflict,
-//! barrier/DMA-heavy, FP-contended) at 1/2/4/8 cores with the event-horizon
-//! fast-forward and the single-step oracle, verifies the two agree
-//! bit-for-bit, and writes `BENCH_sim.json` (override with `--out`).
-//!
-//! `bench serve` boots the prediction server in-process and drives it with
-//! concurrent keep-alive clients over kernel-name, raw-feature and batch
-//! request mixes, reporting throughput, per-mix p50/p90/p99 latency and the
-//! shed/timeout counters; writes `BENCH_serve.json` (override with
-//! `--out`). `--trace-out PATH` additionally captures `GET /debug/requests`
-//! (the flight recorder's tail of the load) as Chrome-trace JSON; the
-//! capture is validated either way.
-//!
-//! `bench models` evaluates the whole model zoo (tree, random forest,
-//! gradient-boosted trees, kNN) under the repeated-CV protocol and checks
-//! the quantized flat compilation of each tree-backed model against the
-//! float reference on every dataset row; writes `BENCH_models.json`
-//! (override with `--out`). `--cv-threads N` pins the CV worker count —
-//! the record is bit-identical at any value.
-//!
-//! `bench diff OLD NEW` dispatches on the record's `bench` field:
-//! headline records gate on accuracy (>1 pt drop fails), `BENCH_sim.json`
-//! on fast-forward throughput (>20% cycles-per-wall-second drop on any
-//! basket fails), `BENCH_serve.json` on tail latency (p99 regression beyond
-//! `--p99-tolerance`, default 20%, on any mix, or any shed in the quick
-//! profile, fails), `BENCH_models.json` on per-model accuracy (>1 pt
-//! static@5 drop fails) and flat/float parity (any mismatch fails).
-//!
-//! `bench history DIR` reads every `BENCH_*.json` record in `DIR` (sorted by
-//! file name), groups them by benchmark kind and profile, prints the
-//! trajectory as a table, and flags regressions between consecutive records
-//! of a group using the same thresholds as `bench diff`. Run journals
-//! (`*.jsonl`) in the directory contribute their `bench_record` tails.
-//!
-//! `report RUN.jsonl` validates a run journal and renders its deterministic
-//! report: per-stage wall breakdown, shard throughput table, top-K slowest
-//! kernels and cache attribution. `journal validate` runs just the
-//! structural check (schema version, gap-free sequence, framing, stage
-//! discipline) over any number of journals. `bench sim --journal PATH` and
-//! the dataset-building bins' `--journal PATH` write such journals.
+//! Every command is one entry of [`COMMANDS`] with its own flag tables:
+//! `pulp_cli --help` lists the commands and `pulp_cli <command> --help`
+//! prints one command's flags, generated from the table the strict parser
+//! reads. A flag outside the command's tables, a missing value or a
+//! malformed value exits 2 naming the flag. Each `cmd_*` function below
+//! documents what its command does; `exp <name>` runs one experiment of
+//! the paper (see [`exp`]). `serve` logs its capacity knobs at startup;
+//! SIGTERM/ctrl-c or `POST /admin/shutdown` drain it gracefully.
+
+#[path = "pulp_cli/exp/mod.rs"]
+mod exp;
 
 use kernel_ir::{lower, DType, Kernel};
-use pulp_bench::cli::{self, Cli, Flag, Usage};
+use pulp_bench::cli::{self, Cli, Command, Flag};
+use pulp_bench::flags::{CACHE_DIR, CV_THREADS, JOURNAL, LOG_JSON, MAX_CYCLES, QUICK};
 use pulp_bench::serve::{install_signal_shutdown, ServeOptions, ServeState, Server};
 use pulp_bench::{
-    profile_run, recorder_of_run, run_models_bench, run_serve_bench, CommonArgs, ServeBenchOptions,
-    SimBenchOptions, QUICK_KERNELS,
+    profile_run, recorder_of_run, run_models_bench, run_serve_bench, CommonArgs, RunContext,
+    ServeBenchOptions, SimBenchOptions, COMMON_FLAGS, QUICK_KERNELS,
 };
 use pulp_energy::{
     default_cache_version, measure_kernel,
@@ -64,109 +31,145 @@ use pulp_kernels::{registry, KernelDef, KernelParams};
 use pulp_ml::{DecisionTree, TreeParams};
 use pulp_sim::{simulate_traced, ClusterConfig, TextSink};
 use serde::Value;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::Arc;
 
-#[derive(Debug)]
-struct Args {
-    command: String,
-    kernel: Option<String>,
-    /// Positional arguments after the first (e.g. `bench diff` paths).
-    rest: Vec<String>,
+/// What a command runs once its whole command line decoded cleanly.
+type Run = Box<dyn FnOnce() -> ExitCode>;
+
+/// `pulp_cli`'s own flags; the ones it shares with the experiments are
+/// [`pulp_bench::flags`].
+#[rustfmt::skip]
+mod flag {
+    use pulp_bench::cli::Flag;
+
+    pub const DTYPE: Flag =            Flag::valued("--dtype",            "i32|f32",   "element type (default: f32, else i32)");
+    pub const SIZE: Flag =             Flag::valued("--size",             "bytes",     "kernel payload size (default: 2048)");
+    pub const TEAM: Flag =             Flag::valued("--team",             "n",         "cores (default: 4)");
+    pub const CHROME: Flag =           Flag::valued("--chrome",           "path",      "write Chrome trace-event JSON");
+    pub const ADDR: Flag =             Flag::valued("--addr",             "host:port", "listen address (default: 127.0.0.1:7878)");
+    pub const FULL: Flag =             Flag::switch("--full",                          "train on every kernel");
+    pub const WORKERS: Flag =          Flag::valued("--workers",          "n",         "worker threads");
+    pub const QUEUE_DEPTH: Flag =      Flag::valued("--queue-depth",      "n",         "accept queue bound (overflow: 503)");
+    pub const TIMEOUT_MS: Flag =       Flag::valued("--timeout-ms",       "n",         "per-connection read/write deadline");
+    pub const MAX_BODY_BYTES: Flag =   Flag::valued("--max-body-bytes",   "n",         "larger bodies get 413");
+    pub const KEEPALIVE_MAX: Flag =    Flag::valued("--keepalive-max",    "n",         "requests per keep-alive connection");
+    pub const SLOW_MS: Flag =          Flag::valued("--slow-ms",          "n",         "log slower requests (0 logs all)");
+    pub const FLIGHT_CAPACITY: Flag =  Flag::valued("--flight-capacity",  "n",         "traces kept for /debug/requests");
+    pub const RETRY_AFTER_SECS: Flag = Flag::valued("--retry-after-secs", "n",         "Retry-After on shed responses");
+    pub const OUT: Flag =              Flag::valued("--out",              "path",      "record path (default: BENCH_<bench>.json)");
+    pub const ITERS: Flag =            Flag::valued("--iters",            "n",         "timing iterations");
+    pub const TRACE_OUT: Flag =        Flag::valued("--trace-out",        "path",      "flight-recorder Chrome trace");
+    pub const RATE: Flag =             Flag::valued("--rate",             "rps",       "open-loop arrival rate");
+    pub const HIST_OUT: Flag =         Flag::valued("--hist-out",         "path",      "open-loop latency histogram");
+    pub const P99_TOLERANCE: Flag =    Flag::valued("--p99-tolerance",    "x",         "serve p99 regression bound (default: 0.2)");
+}
+
+use flag::*;
+
+const KERNEL: &[Flag] = &[DTYPE, SIZE];
+const P99: &[Flag] = &[P99_TOLERANCE];
+const BENCH_SIM: &[Flag] = &[QUICK, OUT, ITERS, JOURNAL, MAX_CYCLES];
+const BENCH_SERVE: &[Flag] = &[QUICK, OUT, TRACE_OUT, RATE, HIST_OUT];
+const BENCH_MODELS: &[Flag] = &[QUICK, OUT, CV_THREADS, CACHE_DIR, JOURNAL];
+#[rustfmt::skip]
+const SERVE: &[Flag] = &[
+    ADDR, FULL, WORKERS, QUEUE_DEPTH, TIMEOUT_MS, MAX_BODY_BYTES, KEEPALIVE_MAX, SLOW_MS,
+    FLIGHT_CAPACITY, RETRY_AFTER_SECS, CACHE_DIR, LOG_JSON,
+];
+
+/// Every command: the words that select it, its positional arguments, its
+/// summary, its flag tables and its decoder. A flag outside a command's
+/// tables exits 2 naming it; `--help` prints the command's usage. A
+/// pipeline experiment runs through [`exp::common`], whose flag says
+/// whether its manifest records the CV protocol.
+#[rustfmt::skip]
+const COMMANDS: &[Command<Run>] = &[
+    cmd("list", "", "dataset kernels", &[], |_| run_with(Ok(()), |_| cmd_list())),
+    cmd("pretty", "<kernel>", "pseudo-C source", &[KERNEL], kernel),
+    cmd("features", "<kernel>", "static features", &[KERNEL], kernel),
+    cmd("disasm", "<kernel>", "lowered program", &[KERNEL, &[TEAM]], kernel),
+    cmd("measure", "<kernel>", "energy at 1..=8 cores", &[KERNEL], kernel),
+    cmd("classify", "<kernel>", "train + predict", &[KERNEL], kernel),
+    cmd("mca", "<kernel>", "LLVM-MCA-style report", &[KERNEL], kernel),
+    cmd("profile", "<kernel>", "stall causes + energy, 1..=8 cores", &[KERNEL, &[MAX_CYCLES]], kernel),
+    cmd("trace", "<kernel>", "GVSOC-style (or --chrome) trace", &[KERNEL, &[TEAM, CHROME, MAX_CYCLES]], kernel),
+    cmd("cache stats", "", "sweep-cache usage", &[&[CACHE_DIR]], |c| run_with(cache_dir(c), |d| cmd_cache_stats(d))),
+    cmd("cache clear", "", "delete cached sweeps", &[&[CACHE_DIR]], |c| run_with(cache_dir(c), |d| cmd_cache_clear(d))),
+    cmd("serve", "", "HTTP prediction service", &[SERVE], |c| run_with(serve_args(c), cmd_serve)),
+    cmd("bench diff", "OLD NEW", "regression gate (headline/sim/serve/models)", &[P99],
+        |c| run_with(gate_args(c), |(p, tol)| cmd_bench_diff(&p[0], &p[1], *tol))),
+    cmd("bench history", "DIR", "benchmark trajectory over committed records", &[P99],
+        |c| run_with(gate_args(c), |(p, tol)| cmd_bench_history(&p[0], *tol))),
+    cmd("bench sim", "", "simulator benchmark", &[BENCH_SIM], |c| run_with(bench_args(c), cmd_bench_sim)),
+    cmd("bench serve", "", "serving-layer benchmark", &[BENCH_SERVE], |c| run_with(bench_args(c), cmd_bench_serve)),
+    cmd("bench models", "", "model-zoo benchmark", &[BENCH_MODELS], |c| run_with(bench_args(c), cmd_bench_models)),
+    cmd("report", "RUN.jsonl", "deterministic report from a run journal", &[],
+        |c| run_with(Ok(c.positionals()[0].clone()), |path| cmd_report(path))),
+    cmd("journal validate", "RUN...", "structural check of run journals", &[],
+        |c| run_with(Ok(c.positionals().to_vec()), |paths| cmd_journal_validate(paths))),
+    cmd("exp table1-energy-model", "", "E1 Table I", &[COMMON_FLAGS], |c| exp::common(c, false, exp::table1_energy_model::run)),
+    cmd("exp dataset-stats", "", "E2 dataset statistics", &[COMMON_FLAGS], |c| exp::common(c, false, exp::dataset_stats::run)),
+    cmd("exp fig2-left", "", "E3 Figure 2 (left)", &[COMMON_FLAGS], |c| exp::common(c, true, exp::fig2_left::run)),
+    cmd("exp fig2-right", "", "E4 Figure 2 (right)", &[COMMON_FLAGS], |c| exp::common(c, true, exp::fig2_right::run)),
+    cmd("exp table4-importance", "", "E5 Table IV", &[COMMON_FLAGS], |c| exp::common(c, true, exp::table4_importance::run)),
+    cmd("exp headline", "", "E6 headline numbers + BENCH record", exp::headline::TABLES, exp::headline::command),
+    cmd("exp ablation-platform", "", "E7 platform ablation", &[COMMON_FLAGS], |c| exp::common(c, false, exp::ablation_platform::run)),
+    cmd("exp unroll-ablation", "", "E9 unrolling sensitivity", &[COMMON_FLAGS], |c| exp::common(c, false, exp::unroll_ablation::run)),
+    cmd("exp learning-curve", "", "E10 learning curve", &[COMMON_FLAGS], |c| exp::common(c, true, exp::learning_curve::run)),
+    cmd("exp cluster-sweep", "", "E11 cluster shapes", &[COMMON_FLAGS], |c| exp::common(c, false, exp::cluster_sweep::run)),
+    cmd("exp dataset-export", "", "the dataset as CSV", &[COMMON_FLAGS], |c| exp::common(c, false, exp::dataset_export::run)),
+    cmd("exp suite-generalization", "", "E12 unseen suites/kernels", &[COMMON_FLAGS],
+        |c| exp::common(c, false, exp::suite_generalization::run)),
+    cmd("exp telemetry-guard", "", "no-op telemetry stays zero-cost", &[exp::telemetry_guard::FLAGS],
+        |c| run_with(exp::telemetry_guard::decode(c), exp::telemetry_guard::run)),
+    cmd("exp profile-report", "", "stall causes + energy of the quick kernels", &[exp::profile_report::FLAGS],
+        |c| run_with(exp::profile_report::decode(c), exp::profile_report::run)),
+];
+
+/// One row of [`COMMANDS`].
+const fn cmd(
+    name: &'static str,
+    args: &'static str,
+    about: &'static str,
+    tables: &'static [&'static [Flag]],
+    decode: fn(&Cli) -> Result<Run, String>,
+) -> Command<Run> {
+    Command {
+        name,
+        args,
+        about,
+        tables,
+        decode,
+    }
+}
+
+/// The [`Run`] of a command whose decoded arguments are `args`: `command`
+/// applied to them.
+fn run_with<A: 'static>(
+    args: Result<A, String>,
+    command: fn(&A) -> ExitCode,
+) -> Result<Run, String> {
+    let args = args?;
+    Ok(Box::new(move || command(&args)))
+}
+
+/// A command that takes a kernel, with the flags its table declares.
+struct KernelArgs {
+    command: &'static str,
+    name: String,
     dtype: Option<DType>,
     size: usize,
     team: usize,
     chrome: Option<String>,
-    cache_dir: Option<String>,
-    addr: Option<String>,
-    full: bool,
-    quick: bool,
-    out: Option<String>,
     max_cycles: Option<u64>,
-    iters: Option<u32>,
-    workers: Option<usize>,
-    queue_depth: Option<usize>,
-    timeout_ms: Option<u64>,
-    max_body_bytes: Option<usize>,
-    keepalive_max: Option<usize>,
-    slow_ms: Option<u64>,
-    flight_capacity: Option<usize>,
-    retry_after_secs: Option<u64>,
-    rate: Option<f64>,
-    hist_out: Option<String>,
-    log_json: bool,
-    trace_out: Option<String>,
-    p99_tolerance: Option<f64>,
-    journal: Option<String>,
-    cv_threads: Option<usize>,
 }
 
-/// Every flag `pulp_cli` accepts; each subcommand reads the ones it uses.
-#[rustfmt::skip]
-const FLAGS: &[Flag] = &[
-    Flag::valued("--dtype",            "i32|f32",   "element type (default: f32, else i32)"),
-    Flag::valued("--size",             "bytes",     "kernel payload size (default: 2048)"),
-    Flag::valued("--team",             "n",         "disasm/trace: cores (default: 4)"),
-    Flag::valued("--chrome",           "path",      "trace: write Chrome trace-event JSON"),
-    Flag::valued("--max-cycles",       "n",         "profile/trace/bench sim cycle budget"),
-    Flag::valued("--cache-dir",        "dir",       "cache/serve/bench models: sweep cache"),
-    Flag::valued("--addr",             "host:port", "serve: listen address (127.0.0.1:7878)"),
-    Flag::switch("--full",                          "serve: train on every kernel"),
-    Flag::valued("--workers",          "n",         "serve: worker threads"),
-    Flag::valued("--queue-depth",      "n",         "serve: accept queue bound (overflow: 503)"),
-    Flag::valued("--timeout-ms",       "n",         "serve: per-connection read/write deadline"),
-    Flag::valued("--max-body-bytes",   "n",         "serve: larger bodies get 413"),
-    Flag::valued("--keepalive-max",    "n",         "serve: requests per keep-alive connection"),
-    Flag::valued("--slow-ms",          "n",         "serve: log slower requests (0 logs all)"),
-    Flag::valued("--flight-capacity",  "n",         "serve: traces kept for /debug/requests"),
-    Flag::valued("--retry-after-secs", "n",         "serve: Retry-After on shed responses"),
-    Flag::switch("--log-json",                      "serve: JSON-lines logs on stderr"),
-    Flag::switch("--quick",                         "bench sim/serve/models: quick profile"),
-    Flag::valued("--out",              "path",      "bench sim/serve/models: record path"),
-    Flag::valued("--iters",            "n",         "bench sim: timing iterations"),
-    Flag::valued("--journal",          "path",      "bench sim/models: JSONL run journal"),
-    Flag::valued("--trace-out",        "path",      "bench serve: flight-recorder Chrome trace"),
-    Flag::valued("--rate",             "rps",       "bench serve: open-loop arrival rate"),
-    Flag::valued("--hist-out",         "path",      "bench serve: open-loop latency histogram"),
-    Flag::valued("--cv-threads",       "n",         "bench models: CV worker threads"),
-    Flag::valued("--p99-tolerance",    "x",         "bench diff/history: serve p99 bound (0.2)"),
-];
-
-const USAGE: Usage = Usage {
-    synopsis: &[
-        "list                        # dataset kernels",
-        "pretty   <kernel>           # pseudo-C source",
-        "features <kernel>           # static features",
-        "disasm   <kernel>           # lowered program",
-        "measure  <kernel>           # energy at 1..=8 cores",
-        "classify <kernel>           # train + predict",
-        "mca      <kernel>           # LLVM-MCA-style report",
-        "profile  <kernel>           # stall causes + energy, 1..=8 cores",
-        "trace    <kernel>           # GVSOC-style (or --chrome) trace",
-        "cache    <stats|clear>      # sweep-cache usage / delete cached sweeps",
-        "serve                       # HTTP prediction service",
-        "bench    diff OLD NEW       # regression gate (headline/sim/serve/models)",
-        "bench    <sim|serve|models> # simulator / serving-layer / model-zoo benchmark",
-        "bench    history DIR        # benchmark trajectory over committed records",
-        "report   RUN.jsonl          # deterministic report from a run journal",
-        "journal  validate RUN...    # structural check of run journals",
-    ],
-    tables: &[FLAGS],
-};
-
-/// The first positional is the command, the second the kernel (or the
-/// subcommand), the rest go to `rest`.
-fn decode(cli: &Cli) -> Result<Args, String> {
-    let mut words = cli.positionals().iter().cloned();
-    let command = match words.next() {
-        Some(c) => c,
-        None if cli.help() => String::new(),
-        None => return Err("missing command".to_string()),
-    };
-    Ok(Args {
-        command,
-        kernel: words.next(),
-        rest: words.collect(),
+fn kernel_args(cli: &Cli) -> Result<KernelArgs, String> {
+    Ok(KernelArgs {
+        command: cli.command(),
+        name: cli.positionals()[0].clone(),
         dtype: match cli.choice("--dtype", &["i32", "f32"])? {
             Some("i32") => Some(DType::I32),
             Some(_) => Some(DType::F32),
@@ -175,42 +178,89 @@ fn decode(cli: &Cli) -> Result<Args, String> {
         size: cli.positive("--size")?.unwrap_or(2048),
         team: cli.positive("--team")?.unwrap_or(4),
         chrome: cli.string("--chrome"),
-        cache_dir: cli.string("--cache-dir"),
-        addr: cli.string("--addr"),
-        full: cli.switch("--full"),
-        quick: cli.switch("--quick"),
-        out: cli.string("--out"),
-        max_cycles: cli.positive("--max-cycles")?,
-        iters: cli.positive("--iters")?,
-        workers: cli.positive("--workers")?,
-        queue_depth: cli.positive("--queue-depth")?,
-        timeout_ms: cli.positive("--timeout-ms")?,
-        max_body_bytes: cli.positive("--max-body-bytes")?,
-        keepalive_max: cli.positive("--keepalive-max")?,
-        slow_ms: cli.non_negative("--slow-ms")?,
-        flight_capacity: cli.positive("--flight-capacity")?,
-        retry_after_secs: cli.positive("--retry-after-secs")?,
-        rate: cli.positive_f64("--rate")?,
-        hist_out: cli.string("--hist-out"),
-        log_json: cli.switch("--log-json"),
-        trace_out: cli.string("--trace-out"),
-        p99_tolerance: cli.positive_f64("--p99-tolerance")?,
-        journal: cli.string("--journal"),
-        cv_threads: cli.positive("--cv-threads")?,
+        max_cycles: CommonArgs::from_cli(cli)?.max_cycles,
     })
 }
 
-/// [`decode`] over an explicit argument list.
-#[cfg(test)]
-fn parse_from(argv: impl Iterator<Item = String>) -> Option<Args> {
-    decode(&Cli::parse(argv, USAGE.tables).ok()?).ok()
+/// The decoder of every command that takes a kernel.
+fn kernel(cli: &Cli) -> Result<Run, String> {
+    run_with(kernel_args(cli), run_kernel)
 }
 
-/// A command line naming no valid subcommand: usage on stderr, exit 2
-/// (exit 1 is kept for failed gates and runs).
-fn usage() -> ExitCode {
-    eprint!("{}", USAGE.render("pulp_cli"));
-    ExitCode::from(2)
+/// `cache stats|clear` need the directory.
+fn cache_dir(cli: &Cli) -> Result<PathBuf, String> {
+    cli.path("--cache-dir")
+        .ok_or_else(|| "--cache-dir <dir> is required".to_string())
+}
+
+/// `bench diff|history`: the record paths and the serve p99 bound.
+fn gate_args(cli: &Cli) -> Result<(Vec<String>, f64), String> {
+    let tolerance = cli.positive_f64("--p99-tolerance")?;
+    Ok((
+        cli.positionals().to_vec(),
+        tolerance.unwrap_or(SERVE_P99_TOLERANCE),
+    ))
+}
+
+/// `serve`'s command line: the shared flags, the address and the
+/// capacity knobs.
+struct ServeArgs {
+    common: CommonArgs,
+    addr: String,
+    serve: ServeOptions,
+}
+
+fn serve_args(cli: &Cli) -> Result<ServeArgs, String> {
+    let d = ServeOptions::default();
+    Ok(ServeArgs {
+        common: CommonArgs {
+            quick: !cli.switch("--full"),
+            ..CommonArgs::from_cli(cli)?
+        },
+        addr: cli
+            .string("--addr")
+            .unwrap_or_else(|| "127.0.0.1:7878".to_string()),
+        serve: ServeOptions {
+            workers: cli.positive("--workers")?.unwrap_or(d.workers),
+            queue_depth: cli.positive("--queue-depth")?.unwrap_or(d.queue_depth),
+            timeout_ms: cli.positive("--timeout-ms")?.unwrap_or(d.timeout_ms),
+            max_body_bytes: cli
+                .positive("--max-body-bytes")?
+                .unwrap_or(d.max_body_bytes),
+            keepalive_max_requests: cli
+                .positive("--keepalive-max")?
+                .unwrap_or(d.keepalive_max_requests),
+            slow_ms: cli.non_negative("--slow-ms")?.unwrap_or(d.slow_ms),
+            flight_capacity: cli
+                .positive("--flight-capacity")?
+                .unwrap_or(d.flight_capacity),
+            retry_after_secs: cli
+                .positive("--retry-after-secs")?
+                .unwrap_or(d.retry_after_secs),
+        },
+    })
+}
+
+/// `bench sim|serve|models`' command line: the shared flags, the record
+/// path and each bench's own knobs.
+struct BenchArgs {
+    common: CommonArgs,
+    out: Option<String>,
+    iters: Option<u32>,
+    rate: Option<f64>,
+    trace_out: Option<String>,
+    hist_out: Option<String>,
+}
+
+fn bench_args(cli: &Cli) -> Result<BenchArgs, String> {
+    Ok(BenchArgs {
+        common: CommonArgs::from_cli(cli)?,
+        out: cli.string("--out"),
+        iters: cli.positive("--iters")?,
+        rate: cli.positive_f64("--rate")?,
+        trace_out: cli.string("--trace-out"),
+        hist_out: cli.string("--hist-out"),
+    })
 }
 
 /// Default cycle budget for interactive `profile`/`trace` runs
@@ -251,8 +301,9 @@ const SERVE_P99_TOLERANCE: f64 = 0.20;
 /// Compares two benchmark records, dispatching on their `bench` field:
 /// `"sim"` gates on per-basket fast-forward throughput, `"serve"` on
 /// per-mix p99 latency plus shedding (tolerance from `--p99-tolerance`,
-/// default [`SERVE_P99_TOLERANCE`]), anything else on the headline
-/// `accuracy` map. Returns the regressions found.
+/// default [`SERVE_P99_TOLERANCE`]), `"models"` on per-model accuracy and
+/// flat/float parity, anything else on the headline `accuracy` map.
+/// Returns the regressions found.
 fn bench_regressions_with(
     old: &Value,
     new: &Value,
@@ -536,7 +587,9 @@ fn headline_regressions(old: &Value, new: &Value) -> Result<Vec<String>, String>
     Ok(regressions)
 }
 
-fn cmd_bench_diff(old_path: &str, new_path: &str, p99_tolerance: Option<f64>) -> ExitCode {
+/// `bench diff OLD NEW`: fails (exit 1) on any regression
+/// [`bench_regressions_with`] finds.
+fn cmd_bench_diff(old_path: &str, new_path: &str, p99_tolerance: f64) -> ExitCode {
     let load = |path: &str| -> Result<Value, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
         serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))
@@ -548,7 +601,7 @@ fn cmd_bench_diff(old_path: &str, new_path: &str, p99_tolerance: Option<f64>) ->
             return ExitCode::FAILURE;
         }
     };
-    match bench_regressions_with(&old, &new, p99_tolerance.unwrap_or(SERVE_P99_TOLERANCE)) {
+    match bench_regressions_with(&old, &new, p99_tolerance) {
         Ok(regressions) if regressions.is_empty() => {
             println!("bench diff: no regressions ({old_path} -> {new_path})");
             ExitCode::SUCCESS
@@ -683,7 +736,7 @@ fn record_summary(kind: &str, v: &Value) -> String {
 /// regressions between consecutive records of a group with the same
 /// thresholds as `bench diff`. Journals (`*.jsonl`) in the directory
 /// contribute their `bench_record` tails.
-fn cmd_bench_history(dir: &str, p99_tolerance: Option<f64>) -> ExitCode {
+fn cmd_bench_history(dir: &str, p99_tolerance: f64) -> ExitCode {
     let entries = match std::fs::read_dir(dir) {
         Ok(e) => e,
         Err(e) => {
@@ -749,7 +802,7 @@ fn cmd_bench_history(dir: &str, p99_tolerance: Option<f64>) -> ExitCode {
         for pair in list.windows(2) {
             let (old_name, old) = &pair[0];
             let (new_name, new) = &pair[1];
-            match bench_regressions_with(old, new, p99_tolerance.unwrap_or(SERVE_P99_TOLERANCE)) {
+            match bench_regressions_with(old, new, p99_tolerance) {
                 Ok(regressions) => {
                     for r in &regressions {
                         println!("  REGRESSION {old_name} -> {new_name}: {r}");
@@ -783,16 +836,19 @@ fn cmd_bench_history(dir: &str, p99_tolerance: Option<f64>) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Runs the simulator performance benchmark and writes `BENCH_sim.json`
-/// (or `--out PATH`). Fails if any fast-forward run diverges from its
-/// single-step oracle or if the barrier/DMA basket never skips a cycle.
-fn cmd_bench_sim(args: &Args) -> ExitCode {
-    let mut opts = if args.quick {
+/// Runs the simulator performance benchmark — the fixed kernel baskets at
+/// 1/2/4/8 cores, fast-forward against the single-step oracle — and
+/// writes `BENCH_sim.json` (or `--out PATH`). Fails if any fast-forward
+/// run diverges from its oracle or if the barrier/DMA basket never skips
+/// a cycle.
+fn cmd_bench_sim(args: &BenchArgs) -> ExitCode {
+    let common = &args.common;
+    let mut opts = if common.quick {
         SimBenchOptions::quick()
     } else {
         SimBenchOptions::default()
     };
-    opts.max_cycles = args.max_cycles.unwrap_or(opts.max_cycles);
+    opts.max_cycles = common.max_cycles.unwrap_or(opts.max_cycles);
     opts.iters = args.iters.unwrap_or(opts.iters);
     eprintln!(
         "bench sim: {} run ({} baskets x {} team sizes, {} timing iteration(s))...",
@@ -804,11 +860,6 @@ fn cmd_bench_sim(args: &Args) -> ExitCode {
     // The journal's run id is seeded from the pre-run provenance manifest
     // (wall times excluded), so re-running the same configuration re-derives
     // the same id.
-    let common = CommonArgs {
-        quick: opts.quick,
-        journal: args.journal.clone().map(std::path::PathBuf::from),
-        ..CommonArgs::default()
-    };
     let mut journal = common.journal_writer("bench_sim", &common.pipeline_options(), None);
     let report = pulp_bench::sim_bench::run_sim_bench_journaled(&opts, journal.as_mut());
     common.finish_journal(journal);
@@ -855,28 +906,8 @@ fn verdict(kind: &str, verified: Result<(), Vec<String>>, ok: &str) -> ExitCode 
     }
 }
 
-/// The server capacity knobs implied by the command line.
-fn serve_options(args: &Args) -> ServeOptions {
-    let d = ServeOptions::default();
-    ServeOptions {
-        workers: args.workers.unwrap_or(d.workers),
-        queue_depth: args.queue_depth.unwrap_or(d.queue_depth),
-        timeout_ms: args.timeout_ms.unwrap_or(d.timeout_ms),
-        max_body_bytes: args.max_body_bytes.unwrap_or(d.max_body_bytes),
-        keepalive_max_requests: args.keepalive_max.unwrap_or(d.keepalive_max_requests),
-        slow_ms: args.slow_ms.unwrap_or(d.slow_ms),
-        flight_capacity: args.flight_capacity.unwrap_or(d.flight_capacity),
-        retry_after_secs: args.retry_after_secs.unwrap_or(d.retry_after_secs),
-    }
-}
-
-fn cmd_serve(args: &Args) -> ExitCode {
-    let common = CommonArgs {
-        quick: !args.full,
-        cache_dir: args.cache_dir.clone().map(std::path::PathBuf::from),
-        log_json: args.log_json,
-        ..CommonArgs::default()
-    };
+fn cmd_serve(args: &ServeArgs) -> ExitCode {
+    let common = &args.common;
     let log = common.logger();
     let opts = common.pipeline_options();
     log.info(
@@ -884,10 +915,10 @@ fn cmd_serve(args: &Args) -> ExitCode {
         "training model (this simulates the training sweep unless cached)...",
         &[(
             "profile",
-            if args.full { "full" } else { "quick" }.to_string(),
+            if common.quick { "quick" } else { "full" }.to_string(),
         )],
     );
-    let serve_opts = serve_options(args);
+    let serve_opts = args.serve;
     // The request-path logger moves into the server state: slow-request
     // lines from worker threads honour `--log-json` too.
     let state = Arc::new(
@@ -895,7 +926,7 @@ fn cmd_serve(args: &Args) -> ExitCode {
             .with_flight_capacity(serve_opts.flight_capacity)
             .with_logger(common.logger()),
     );
-    let addr = args.addr.as_deref().unwrap_or("127.0.0.1:7878");
+    let addr = args.addr.as_str();
     let server = match Server::bind_with(addr, state, serve_opts) {
         Ok(s) => s,
         Err(e) => {
@@ -936,11 +967,14 @@ fn cmd_serve(args: &Args) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-/// Runs the serving-layer load benchmark and writes `BENCH_serve.json`
-/// (or `--out PATH`). Fails on correctness errors, a batch/sequential
-/// divergence, or (in the quick profile) any shed or timeout.
-fn cmd_bench_serve(args: &Args) -> ExitCode {
-    let mut opts = if args.quick {
+/// Runs the serving-layer load benchmark — the server in-process, driven
+/// by concurrent keep-alive clients over kernel-name, raw-feature and
+/// batch mixes, closed and open loop — and writes `BENCH_serve.json` (or
+/// `--out PATH`); `--trace-out` adds the flight recorder's Chrome trace of
+/// the load. Fails on correctness errors, a batch/sequential divergence,
+/// or (in the quick profile) any shed or timeout.
+fn cmd_bench_serve(args: &BenchArgs) -> ExitCode {
+    let mut opts = if args.common.quick {
         ServeBenchOptions::quick()
     } else {
         ServeBenchOptions::default()
@@ -983,22 +1017,15 @@ fn cmd_bench_serve(args: &Args) -> ExitCode {
 /// Runs the model-zoo evaluation benchmark and writes `BENCH_models.json`
 /// (or `--out PATH`). Builds (or loads) the dataset with the usual
 /// pipeline caches, evaluates every zoo model under the repeated-CV
-/// protocol, checks flat/float parity on the full dataset, and wires the
-/// run manifest + journal exactly like the other benches.
-fn cmd_bench_models(args: &Args) -> ExitCode {
-    let start = std::time::Instant::now();
-    let common = CommonArgs {
-        quick: args.quick,
-        cv_threads: args.cv_threads.unwrap_or(0),
-        cache_dir: args.cache_dir.clone().map(std::path::PathBuf::from),
-        journal: args.journal.clone().map(std::path::PathBuf::from),
-        ..CommonArgs::default()
-    };
-    let opts = common.pipeline_options();
-    let protocol = common.protocol();
+/// protocol, checks flat/float parity on the full dataset, and runs
+/// through the same [`RunContext`] (manifest + journal) as the
+/// experiments.
+fn cmd_bench_models(args: &BenchArgs) -> ExitCode {
+    let mut ctx = RunContext::new("bench_models", args.common.clone(), true);
+    let protocol = ctx.protocol;
     eprintln!(
         "bench models: {} run ({} folds x {} repeats, cv-threads {})...",
-        if args.quick { "quick" } else { "full" },
+        if ctx.args.quick { "quick" } else { "full" },
         protocol.folds,
         protocol.repeats,
         if protocol.cv_threads == 0 {
@@ -1007,28 +1034,23 @@ fn cmd_bench_models(args: &Args) -> ExitCode {
             protocol.cv_threads.to_string()
         }
     );
-    let mut journal = common.journal_writer("bench_models", &opts, Some(&protocol));
-    let data = pulp_bench::load_or_build_dataset(&opts, &common, journal.as_mut());
-    let mut report = run_models_bench(&data, &protocol, args.quick);
-    let manifest = common.write_manifest("bench_models", &opts, Some(&protocol), start);
-    report.manifest_hash = manifest.manifest_hash();
-    if let Some(j) = journal.as_mut() {
-        for row in &report.rows {
-            let record = |name: String, value: f64| pulp_obs::JournalEvent::BenchRecord {
-                bench: "models".to_string(),
-                name,
-                value,
-            };
-            let _ = j.event(record(
-                format!("{}_static_at_5", row.model),
-                row.static_at_5,
-            ));
-            if let Some(m) = row.flat_mismatches {
-                let _ = j.event(record(format!("{}_flat_mismatches", row.model), m as f64));
-            }
+    let data = ctx.dataset();
+    let mut report = run_models_bench(&data, &protocol, ctx.args.quick);
+    for row in &report.rows {
+        let record = |name: String, value: f64| pulp_obs::JournalEvent::BenchRecord {
+            bench: "models".to_string(),
+            name,
+            value,
+        };
+        ctx.event(record(
+            format!("{}_static_at_5", row.model),
+            row.static_at_5,
+        ));
+        if let Some(m) = row.flat_mismatches {
+            ctx.event(record(format!("{}_flat_mismatches", row.model), m as f64));
         }
     }
-    common.finish_journal(journal);
+    report.manifest_hash = ctx.finish(&report).manifest_hash();
     print!("{}", report.render_table());
     if !write_record(
         "models",
@@ -1044,14 +1066,25 @@ fn cmd_bench_models(args: &Args) -> ExitCode {
     )
 }
 
-/// The kernel named by the second positional, built at `--dtype` /
-/// `--size`. A missing or unknown name, an unsupported dtype or a failed
-/// build is reported on stderr and yields `None` (a usage error).
-fn kernel_arg(args: &Args, defs: &[KernelDef]) -> Option<Kernel> {
-    let Some(name) = &args.kernel else {
-        eprint!("{}", USAGE.render("pulp_cli"));
-        return None;
+/// Runs a kernel command on the named kernel, built at `--dtype` /
+/// `--size`: exit 2 (a usage error) when the name is unknown, the dtype
+/// unsupported or the build fails, exit 1 when the command fails.
+fn run_kernel(args: &KernelArgs) -> ExitCode {
+    let Some(kernel) = kernel_arg(args, &registry()) else {
+        return ExitCode::from(2);
     };
+    cmd_kernel(args, &kernel).map_or_else(
+        |e| {
+            eprintln!("{e}");
+            ExitCode::FAILURE
+        },
+        |()| ExitCode::SUCCESS,
+    )
+}
+
+/// The named kernel, or `None` after reporting why on stderr.
+fn kernel_arg(args: &KernelArgs, defs: &[KernelDef]) -> Option<Kernel> {
+    let name = &args.name;
     let Some(def) = defs.iter().find(|d| d.name == *name) else {
         eprintln!("unknown kernel `{name}`; run `pulp_cli list`");
         return None;
@@ -1074,11 +1107,11 @@ fn kernel_arg(args: &Args, defs: &[KernelDef]) -> Option<Kernel> {
 
 /// Runs one of the commands that take a kernel; an error is the message
 /// to print before exiting 1.
-fn cmd_kernel(args: &Args, kernel: &Kernel) -> Result<(), String> {
+fn cmd_kernel(args: &KernelArgs, kernel: &Kernel) -> Result<(), String> {
     let config = ClusterConfig::default();
-    let name = args.kernel.as_deref().unwrap_or_default();
+    let name = &args.name;
     let budget = args.max_cycles.unwrap_or(DEFAULT_RUN_BUDGET);
-    match args.command.as_str() {
+    match args.command {
         "pretty" => print!("{kernel}"),
         "features" => {
             for (n, v) in static_feature_names()
@@ -1203,102 +1236,76 @@ fn cmd_kernel(args: &Args, kernel: &Kernel) -> Result<(), String> {
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let args = cli::parse_env(&USAGE, decode);
-    let defs = registry();
-    match args.command.as_str() {
-        "list" => {
-            println!("{:<24} {:<10} dtypes", "kernel", "suite");
-            for d in &defs {
-                let dtypes: Vec<String> = d.dtypes.iter().map(|t| t.to_string()).collect();
-                println!(
-                    "{:<24} {:<10} {}",
-                    d.name,
-                    d.suite.to_string(),
-                    dtypes.join(",")
-                );
-            }
+fn cmd_list() -> ExitCode {
+    println!("{:<24} {:<10} dtypes", "kernel", "suite");
+    for d in &registry() {
+        let dtypes: Vec<String> = d.dtypes.iter().map(|t| t.to_string()).collect();
+        println!(
+            "{:<24} {:<10} {}",
+            d.name,
+            d.suite.to_string(),
+            dtypes.join(",")
+        );
+    }
+    ExitCode::SUCCESS
+}
+
+fn cmd_cache_stats(dir: &Path) -> ExitCode {
+    match SweepCache::dir_stats(dir) {
+        Ok(stats) => {
+            println!("cache dir : {}", dir.display());
+            println!("version   : {}", default_cache_version());
+            println!("entries   : {}", stats.entries);
+            println!("size      : {} bytes", stats.bytes);
             ExitCode::SUCCESS
         }
-        "pretty" | "features" | "disasm" | "measure" | "classify" | "mca" | "profile" | "trace" => {
-            let Some(kernel) = kernel_arg(&args, &defs) else {
-                return ExitCode::from(2);
-            };
-            match cmd_kernel(&args, &kernel) {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("{e}");
-                    ExitCode::FAILURE
-                }
-            }
+        Err(e) => {
+            eprintln!("cannot read {}: {e}", dir.display());
+            ExitCode::FAILURE
         }
-        "cache" => {
-            let Some(action) = args.kernel.as_deref() else {
-                return usage();
-            };
-            let Some(dir) = args.cache_dir.as_deref() else {
-                eprintln!("cache {action}: --cache-dir DIR is required");
-                return ExitCode::FAILURE;
-            };
-            let dir = std::path::Path::new(dir);
-            match action {
-                "stats" => match SweepCache::dir_stats(dir) {
-                    Ok(stats) => {
-                        println!("cache dir : {}", dir.display());
-                        println!("version   : {}", default_cache_version());
-                        println!("entries   : {}", stats.entries);
-                        println!("size      : {} bytes", stats.bytes);
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => {
-                        eprintln!("cannot read {}: {e}", dir.display());
-                        ExitCode::FAILURE
-                    }
-                },
-                "clear" => match SweepCache::clear(dir) {
-                    Ok(removed) => {
-                        println!("removed {removed} cached sweep(s) from {}", dir.display());
-                        ExitCode::SUCCESS
-                    }
-                    Err(e) => {
-                        eprintln!("cannot clear {}: {e}", dir.display());
-                        ExitCode::FAILURE
-                    }
-                },
-                _ => usage(),
-            }
-        }
-        "serve" => cmd_serve(&args),
-        "report" => match args.kernel.as_deref() {
-            Some(path) if args.rest.is_empty() => cmd_report(path),
-            _ => usage(),
-        },
-        "journal" => match args.kernel.as_deref() {
-            Some("validate") if !args.rest.is_empty() => cmd_journal_validate(&args.rest),
-            _ => usage(),
-        },
-        "bench" => match args.kernel.as_deref() {
-            Some("diff") if args.rest.len() == 2 => {
-                cmd_bench_diff(&args.rest[0], &args.rest[1], args.p99_tolerance)
-            }
-            Some("sim") if args.rest.is_empty() => cmd_bench_sim(&args),
-            Some("serve") if args.rest.is_empty() => cmd_bench_serve(&args),
-            Some("models") if args.rest.is_empty() => cmd_bench_models(&args),
-            Some("history") if args.rest.len() == 1 => {
-                cmd_bench_history(&args.rest[0], args.p99_tolerance)
-            }
-            _ => usage(),
-        },
-        _ => usage(),
     }
+}
+
+fn cmd_cache_clear(dir: &Path) -> ExitCode {
+    match SweepCache::clear(dir) {
+        Ok(removed) => {
+            println!("removed {removed} cached sweep(s) from {}", dir.display());
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("cannot clear {}: {e}", dir.display());
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn main() -> ExitCode {
+    cli::parse_env(COMMANDS)()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn parse(words: &[&str]) -> Option<Args> {
-        parse_from(words.iter().map(|s| s.to_string()))
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace().map(String::from).collect()
+    }
+
+    /// Selects the command `line` names and decodes it with `decode`.
+    fn parse<T>(line: &str, decode: fn(&Cli) -> Result<T, String>) -> Option<T> {
+        let (_, cli) = cli::select("pulp_cli", COMMANDS, argv(line)).ok()?;
+        decode(&cli).ok()
+    }
+
+    /// Whether `line` decodes into a command that would run.
+    fn accepted(line: &str) -> bool {
+        cli::dispatch("pulp_cli", COMMANDS, argv(line)).is_ok()
+    }
+
+    /// The name of the command `line` selects, and its positional arguments.
+    fn selected(line: &str) -> (&'static str, Vec<String>) {
+        let (cmd, cli) = cli::select("pulp_cli", COMMANDS, argv(line)).expect("selects");
+        (cmd.name, cli.positionals().to_vec())
     }
 
     /// [`bench_regressions_with`] at the default serve p99 tolerance.
@@ -1317,32 +1324,30 @@ mod tests {
             "bench serve --quick --out S.json --trace-out T.json --hist-out H.json",
             "bench models --quick --out BENCH_models.json --journal models_run.jsonl",
         ] {
-            assert!(
-                parse_from(line.split(' ').map(String::from)).is_some(),
-                "{line}"
-            );
+            assert!(accepted(line), "{line}");
         }
-        // `--help` parses without a command; an unknown flag never does.
-        assert!(parse(&["--help"]).is_some());
-        assert!(parse(&["bench", "serve", "--predictor", "float"]).is_none());
+        // `--help` stops without a command; an unknown flag never runs.
+        let help = cli::dispatch("pulp_cli", COMMANDS, argv("--help"));
+        assert!(matches!(help, Err(cli::Stop::Help(_))));
+        assert!(!accepted("bench serve --predictor float"));
     }
 
     #[test]
     fn parses_full_command_line() {
-        let a = parse(&[
-            "measure", "gemm", "--dtype", "i32", "--size", "512", "--team", "6",
-        ])
-        .expect("parse");
-        assert_eq!(a.command, "measure");
-        assert_eq!(a.kernel.as_deref(), Some("gemm"));
+        let line = "disasm gemm --dtype i32 --size 512 --team 6";
+        let a = parse(line, kernel_args).expect("parse");
+        assert_eq!(a.command, "disasm");
+        assert_eq!(a.name, "gemm");
         assert_eq!(a.dtype, Some(DType::I32));
         assert_eq!(a.size, 512);
         assert_eq!(a.team, 6);
+        // `--team` belongs to disasm and trace only.
+        assert!(!accepted("measure gemm --team 6"));
     }
 
     #[test]
     fn defaults_apply() {
-        let a = parse(&["pretty", "fir"]).expect("parse");
+        let a = parse("pretty fir", kernel_args).expect("parse");
         assert_eq!(a.dtype, None);
         assert_eq!(a.size, 2048);
         assert_eq!(a.team, 4);
@@ -1350,51 +1355,44 @@ mod tests {
 
     #[test]
     fn rejects_bad_dtype_and_flags() {
-        assert!(parse(&["measure", "gemm", "--dtype", "f64"]).is_none());
-        assert!(parse(&["measure", "gemm", "--bogus"]).is_none());
-        assert!(parse(&[]).is_none());
+        assert!(!accepted("measure gemm --dtype f64"));
+        assert!(!accepted("measure gemm --bogus"));
+        assert!(!accepted(""));
     }
 
     #[test]
     fn chrome_flag_takes_a_path() {
-        let a = parse(&["trace", "fir", "--chrome", "out.json"]).expect("parse");
+        let a = parse("trace fir --chrome out.json", kernel_args).expect("parse");
         assert_eq!(a.chrome.as_deref(), Some("out.json"));
-        assert!(parse(&["trace", "fir", "--chrome"]).is_none());
+        assert!(!accepted("trace fir --chrome"));
     }
 
     #[test]
     fn serve_and_bench_subcommands_parse() {
-        let a = parse(&["serve", "--addr", "0.0.0.0:9000", "--full"]).expect("parse");
-        assert_eq!(a.command, "serve");
-        assert_eq!(a.addr.as_deref(), Some("0.0.0.0:9000"));
-        assert!(a.full);
+        let line = "serve --addr 0.0.0.0:9000 --full";
+        let a = parse(line, serve_args).expect("parse");
+        assert_eq!(selected(line).0, "serve");
+        assert_eq!(a.addr, "0.0.0.0:9000");
+        assert!(!a.common.quick);
 
-        let a = parse(&["bench", "diff", "old.json", "new.json"]).expect("parse");
-        assert_eq!(a.kernel.as_deref(), Some("diff"));
-        assert_eq!(a.rest, vec!["old.json".to_string(), "new.json".to_string()]);
+        let (name, rest) = selected("bench diff old.json new.json");
+        assert_eq!(name, "bench diff");
+        assert_eq!(rest, vec!["old.json".to_string(), "new.json".to_string()]);
     }
 
     #[test]
     fn bench_sim_flags_parse_strictly() {
-        let a = parse(&[
-            "bench",
-            "sim",
-            "--quick",
-            "--out",
-            "custom.json",
-            "--max-cycles",
-            "5000",
-        ])
-        .expect("parse");
-        assert_eq!(a.kernel.as_deref(), Some("sim"));
-        assert!(a.quick);
+        let line = "bench sim --quick --out custom.json --max-cycles 5000";
+        let a = parse(line, bench_args).expect("parse");
+        assert_eq!(selected(line).0, "bench sim");
+        assert!(a.common.quick);
         assert_eq!(a.out.as_deref(), Some("custom.json"));
-        assert_eq!(a.max_cycles, Some(5_000));
+        assert_eq!(a.common.max_cycles, Some(5_000));
         // Zero, negative and garbage budgets are rejected outright.
-        assert!(parse(&["bench", "sim", "--max-cycles", "0"]).is_none());
-        assert!(parse(&["bench", "sim", "--max-cycles", "-3"]).is_none());
-        assert!(parse(&["bench", "sim", "--max-cycles", "many"]).is_none());
-        assert!(parse(&["bench", "sim", "--max-cycles"]).is_none());
+        assert!(!accepted("bench sim --max-cycles 0"));
+        assert!(!accepted("bench sim --max-cycles -3"));
+        assert!(!accepted("bench sim --max-cycles many"));
+        assert!(!accepted("bench sim --max-cycles"));
     }
 
     fn headline_value(static_at_5: f64) -> Value {
@@ -1434,127 +1432,97 @@ mod tests {
 
     #[test]
     fn serve_capacity_flags_parse_strictly() {
-        let a = parse(&[
-            "serve",
-            "--workers",
-            "8",
-            "--queue-depth",
-            "128",
-            "--timeout-ms",
-            "250",
-            "--max-body-bytes",
-            "4096",
-            "--keepalive-max",
-            "32",
-        ])
+        let a = parse(
+            "serve --workers 8 --queue-depth 128 --timeout-ms 250 --max-body-bytes 4096 --keepalive-max 32",
+            serve_args,
+        )
         .expect("parse");
-        assert_eq!(a.workers, Some(8));
-        assert_eq!(a.queue_depth, Some(128));
-        assert_eq!(a.timeout_ms, Some(250));
-        assert_eq!(a.max_body_bytes, Some(4096));
-        assert_eq!(a.keepalive_max, Some(32));
-        let o = serve_options(&a);
+        let o = a.serve;
         assert_eq!((o.workers, o.queue_depth, o.timeout_ms), (8, 128, 250));
         assert_eq!((o.max_body_bytes, o.keepalive_max_requests), (4096, 32));
         // Defaults flow through when flags are absent.
-        let defaults = serve_options(&parse(&["serve"]).expect("parse"));
+        let defaults = parse("serve", serve_args).expect("parse").serve;
         assert_eq!(defaults, ServeOptions::default());
         // Zero, negatives and garbage are rejected outright.
-        assert!(parse(&["serve", "--workers", "0"]).is_none());
-        assert!(parse(&["serve", "--queue-depth", "-1"]).is_none());
-        assert!(parse(&["serve", "--timeout-ms", "soon"]).is_none());
-        assert!(parse(&["serve", "--max-body-bytes"]).is_none());
+        assert!(!accepted("serve --workers 0"));
+        assert!(!accepted("serve --queue-depth -1"));
+        assert!(!accepted("serve --timeout-ms soon"));
+        assert!(!accepted("serve --max-body-bytes"));
     }
 
     #[test]
     fn retry_after_flag_parses_strictly_and_reaches_the_options() {
-        let a = parse(&["serve", "--retry-after-secs", "5"]).expect("parse");
-        assert_eq!(a.retry_after_secs, Some(5));
-        assert_eq!(serve_options(&a).retry_after_secs, 5);
+        let a = parse("serve --retry-after-secs 5", serve_args).expect("parse");
+        assert_eq!(a.serve.retry_after_secs, 5);
         // Default is 1 second, unchanged from the pre-flag behaviour.
-        let d = serve_options(&parse(&["serve"]).expect("parse"));
+        let d = parse("serve", serve_args).expect("parse").serve;
         assert_eq!(d.retry_after_secs, 1);
         // Zero, negatives and garbage are rejected outright.
-        assert!(parse(&["serve", "--retry-after-secs", "0"]).is_none());
-        assert!(parse(&["serve", "--retry-after-secs", "-2"]).is_none());
-        assert!(parse(&["serve", "--retry-after-secs", "soon"]).is_none());
-        assert!(parse(&["serve", "--retry-after-secs"]).is_none());
+        assert!(!accepted("serve --retry-after-secs 0"));
+        assert!(!accepted("serve --retry-after-secs -2"));
+        assert!(!accepted("serve --retry-after-secs soon"));
+        assert!(!accepted("serve --retry-after-secs"));
     }
 
     #[test]
     fn open_loop_flags_parse_strictly() {
-        let a = parse(&[
-            "bench",
-            "serve",
-            "--quick",
-            "--rate",
-            "750.5",
-            "--hist-out",
-            "H.json",
-        ])
+        let a = parse(
+            "bench serve --quick --rate 750.5 --hist-out H.json",
+            bench_args,
+        )
         .expect("parse");
         assert_eq!(a.rate, Some(750.5));
         assert_eq!(a.hist_out.as_deref(), Some("H.json"));
         // Zero, negatives, garbage and missing values are rejected.
-        assert!(parse(&["bench", "serve", "--rate", "0"]).is_none());
-        assert!(parse(&["bench", "serve", "--rate", "-100"]).is_none());
-        assert!(parse(&["bench", "serve", "--rate", "fast"]).is_none());
-        assert!(parse(&["bench", "serve", "--rate", "inf"]).is_none());
-        assert!(parse(&["bench", "serve", "--hist-out"]).is_none());
+        assert!(!accepted("bench serve --rate 0"));
+        assert!(!accepted("bench serve --rate -100"));
+        assert!(!accepted("bench serve --rate fast"));
+        assert!(!accepted("bench serve --rate inf"));
+        assert!(!accepted("bench serve --hist-out"));
     }
 
     #[test]
     fn bench_serve_subcommand_parses() {
-        let a = parse(&["bench", "serve", "--quick", "--out", "S.json"]).expect("parse");
-        assert_eq!(a.kernel.as_deref(), Some("serve"));
-        assert!(a.quick);
+        let line = "bench serve --quick --out S.json";
+        let a = parse(line, bench_args).expect("parse");
+        assert_eq!(selected(line).0, "bench serve");
+        assert!(a.common.quick);
         assert_eq!(a.out.as_deref(), Some("S.json"));
-        let a = parse(&["bench", "serve", "--quick", "--trace-out", "T.json"]).expect("parse");
+        let line = "bench serve --quick --trace-out T.json";
+        let a = parse(line, bench_args).expect("parse");
         assert_eq!(a.trace_out.as_deref(), Some("T.json"));
-        assert!(parse(&["bench", "serve", "--trace-out"]).is_none());
+        assert!(!accepted("bench serve --trace-out"));
     }
 
     #[test]
     fn observability_flags_parse_strictly() {
-        let a = parse(&[
-            "serve",
-            "--slow-ms",
-            "0",
-            "--flight-capacity",
-            "512",
-            "--log-json",
-        ])
+        let a = parse(
+            "serve --slow-ms 0 --flight-capacity 512 --log-json",
+            serve_args,
+        )
         .expect("parse");
-        assert_eq!(a.slow_ms, Some(0));
-        assert_eq!(a.flight_capacity, Some(512));
-        assert!(a.log_json);
-        let o = serve_options(&a);
+        assert!(a.common.log_json);
+        let o = a.serve;
         assert_eq!((o.slow_ms, o.flight_capacity), (0, 512));
         // Defaults flow through when the flags are absent.
-        let d = serve_options(&parse(&["serve"]).expect("parse"));
+        let d = parse("serve", serve_args).expect("parse").serve;
         assert_eq!(d.slow_ms, ServeOptions::default().slow_ms);
         assert_eq!(d.flight_capacity, ServeOptions::default().flight_capacity);
         // Garbage and missing values are rejected outright.
-        assert!(parse(&["serve", "--slow-ms", "fast"]).is_none());
-        assert!(parse(&["serve", "--slow-ms", "-1"]).is_none());
-        assert!(parse(&["serve", "--flight-capacity", "0"]).is_none());
-        assert!(parse(&["serve", "--flight-capacity"]).is_none());
+        assert!(!accepted("serve --slow-ms fast"));
+        assert!(!accepted("serve --slow-ms -1"));
+        assert!(!accepted("serve --flight-capacity 0"));
+        assert!(!accepted("serve --flight-capacity"));
     }
 
     #[test]
     fn p99_tolerance_parses_and_tightens_the_serve_gate() {
-        let a = parse(&[
-            "bench",
-            "diff",
-            "a.json",
-            "b.json",
-            "--p99-tolerance",
-            "0.10",
-        ])
-        .expect("parse");
-        assert_eq!(a.p99_tolerance, Some(0.10));
-        assert!(parse(&["bench", "diff", "a.json", "b.json", "--p99-tolerance", "0"]).is_none());
-        assert!(parse(&["bench", "diff", "a.json", "b.json", "--p99-tolerance", "x"]).is_none());
+        let line = "bench diff a.json b.json --p99-tolerance 0.10";
+        assert_eq!(parse(line, gate_args).map(|a| a.1), Some(0.10));
+        let default = parse("bench diff a.json b.json", gate_args);
+        assert_eq!(default.map(|a| a.1), Some(SERVE_P99_TOLERANCE));
+        assert!(!accepted("bench diff a.json b.json --p99-tolerance 0"));
+        assert!(!accepted("bench diff a.json b.json --p99-tolerance x"));
         // +15% p99 passes the default 20% gate but fails a 10% one.
         let base = serve_value(true, 500.0, 0.0, 0);
         let cand = serve_value(true, 575.0, 0.0, 0);
@@ -1873,27 +1841,21 @@ mod tests {
 
     #[test]
     fn bench_models_subcommand_and_flags_parse() {
-        let a = parse(&[
-            "bench",
-            "models",
-            "--quick",
-            "--out",
-            "M.json",
-            "--cv-threads",
-            "4",
-            "--journal",
-            "R.jsonl",
-        ])
-        .expect("parse");
-        assert_eq!(a.kernel.as_deref(), Some("models"));
-        assert!(a.quick);
+        let line = "bench models --quick --out M.json --cv-threads 4 --journal R.jsonl";
+        let a = parse(line, bench_args).expect("parse");
+        assert_eq!(selected(line).0, "bench models");
+        assert!(a.common.quick);
         assert_eq!(a.out.as_deref(), Some("M.json"));
-        assert_eq!(a.cv_threads, Some(4));
-        assert_eq!(a.journal.as_deref(), Some("R.jsonl"));
-        // Zero, garbage and missing cv-thread counts are rejected.
-        assert!(parse(&["bench", "models", "--cv-threads", "0"]).is_none());
-        assert!(parse(&["bench", "models", "--cv-threads", "x"]).is_none());
-        assert!(parse(&["bench", "models", "--cv-threads"]).is_none());
+        assert_eq!(a.common.cv_threads, 4);
+        assert_eq!(a.common.journal, Some(PathBuf::from("R.jsonl")));
+        // `--cv-threads` has one decoder everywhere: 0 means all cores,
+        // as in every experiment.
+        let all = parse("bench models --cv-threads 0", bench_args).expect("parse");
+        assert_eq!(all.common.cv_threads, 0);
+        // Garbage, negative and missing cv-thread counts are rejected.
+        assert!(!accepted("bench models --cv-threads x"));
+        assert!(!accepted("bench models --cv-threads -1"));
+        assert!(!accepted("bench models --cv-threads"));
     }
 
     #[test]
@@ -1914,22 +1876,24 @@ mod tests {
 
     #[test]
     fn report_and_journal_subcommands_parse() {
-        let a = parse(&["report", "RUN.jsonl"]).expect("parse");
-        assert_eq!(a.command, "report");
-        assert_eq!(a.kernel.as_deref(), Some("RUN.jsonl"));
+        let (name, rest) = selected("report RUN.jsonl");
+        assert_eq!(name, "report");
+        assert_eq!(rest, vec!["RUN.jsonl".to_string()]);
+        assert!(!accepted("report") && !accepted("report a.jsonl b.jsonl"));
 
-        let a = parse(&["journal", "validate", "a.jsonl", "b.jsonl"]).expect("parse");
-        assert_eq!(a.command, "journal");
-        assert_eq!(a.kernel.as_deref(), Some("validate"));
-        assert_eq!(a.rest, vec!["a.jsonl".to_string(), "b.jsonl".to_string()]);
+        let (name, rest) = selected("journal validate a.jsonl b.jsonl");
+        assert_eq!(name, "journal validate");
+        assert_eq!(rest, vec!["a.jsonl".to_string(), "b.jsonl".to_string()]);
+        assert!(!accepted("journal validate"));
 
-        let a = parse(&["bench", "history", "baselines"]).expect("parse");
-        assert_eq!(a.kernel.as_deref(), Some("history"));
-        assert_eq!(a.rest, vec!["baselines".to_string()]);
+        let (name, rest) = selected("bench history baselines");
+        assert_eq!(name, "bench history");
+        assert_eq!(rest, vec!["baselines".to_string()]);
 
-        let a = parse(&["bench", "sim", "--quick", "--journal", "R.jsonl"]).expect("parse");
-        assert_eq!(a.journal.as_deref(), Some("R.jsonl"));
-        assert!(parse(&["bench", "sim", "--journal"]).is_none());
+        let line = "bench sim --quick --journal R.jsonl";
+        let a = parse(line, bench_args).expect("parse");
+        assert_eq!(a.common.journal, Some(PathBuf::from("R.jsonl")));
+        assert!(!accepted("bench sim --journal"));
     }
 
     #[test]
@@ -1947,10 +1911,71 @@ mod tests {
 
     #[test]
     fn cache_subcommand_parses() {
-        let a = parse(&["cache", "stats", "--cache-dir", "/tmp/sweeps"]).expect("parse");
-        assert_eq!(a.command, "cache");
-        assert_eq!(a.kernel.as_deref(), Some("stats"));
-        assert_eq!(a.cache_dir.as_deref(), Some("/tmp/sweeps"));
-        assert!(parse(&["cache", "clear", "--cache-dir"]).is_none());
+        let line = "cache stats --cache-dir /tmp/sweeps";
+        assert_eq!(selected(line).0, "cache stats");
+        assert_eq!(parse(line, cache_dir), Some(PathBuf::from("/tmp/sweeps")));
+        assert!(!accepted("cache clear --cache-dir"));
+        // The directory is required, and the action must be known.
+        assert!(!accepted("cache stats"));
+        assert!(!accepted("cache purge --cache-dir /tmp/sweeps"));
+    }
+
+    /// Every command prints its own usage for `--help` and rejects every
+    /// flag that only other commands declare, naming it.
+    #[test]
+    fn every_command_keeps_its_own_flag_table() {
+        let flags = |c: &Command<Run>| -> Vec<&'static str> {
+            c.tables
+                .iter()
+                .flat_map(|t| t.iter().map(|f| f.name))
+                .collect()
+        };
+        let all: Vec<&str> = COMMANDS.iter().flat_map(flags).collect();
+        for cmd in COMMANDS {
+            let own = flags(cmd);
+            let help = cli::dispatch("pulp_cli", COMMANDS, argv(&format!("{} -h", cmd.name)));
+            let Err(cli::Stop::Help(usage)) = help else {
+                panic!("{}: --help did not stop with the usage", cmd.name);
+            };
+            assert!(
+                usage.starts_with(&format!("usage: pulp_cli {} ", cmd.name)),
+                "{usage}"
+            );
+            for flag in &own {
+                assert!(usage.contains(flag), "{}: usage misses {flag}", cmd.name);
+            }
+            for flag in all.iter().filter(|f| !own.contains(f)) {
+                let line = format!("{} {flag}", cmd.name);
+                match cli::dispatch("pulp_cli", COMMANDS, argv(&line)) {
+                    Err(cli::Stop::Error(e)) => {
+                        assert!(e.contains(&format!("unknown flag `{flag}`")), "{e}")
+                    }
+                    _ => panic!("{} accepted {flag}", cmd.name),
+                }
+            }
+        }
+        for (line, want) in [
+            (
+                "list --rate 5 --workers 3 --hist-out h.txt",
+                "unknown flag `--rate`",
+            ),
+            ("exp fig2-left --workers 3", "unknown flag `--workers`"),
+            ("report x.jsonl --quick", "unknown flag `--quick`"),
+            ("report", "missing RUN.jsonl"),
+            ("list extra", "unexpected argument `extra`"),
+            ("", "missing command"),
+            ("--quick exp headline", "missing command before `--quick`"),
+            ("bench nope", "unknown command `bench nope`"),
+        ] {
+            let Err(cli::Stop::Error(e)) = cli::dispatch("pulp_cli", COMMANDS, argv(line)) else {
+                panic!("`{line}` did not stop with an error");
+            };
+            assert!(e.contains(want), "{line}: {e}");
+        }
+        // Without a command, `--help` lists every command.
+        let Err(cli::Stop::Help(all)) = cli::dispatch("pulp_cli", COMMANDS, argv("-h")) else {
+            panic!("-h without a command");
+        };
+        assert!(COMMANDS.iter().all(|c| all.contains(c.name)));
     }
 }

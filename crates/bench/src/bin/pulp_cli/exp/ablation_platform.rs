@@ -7,7 +7,7 @@
 //! unchanged, that mechanism was irrelevant — the paper's premise would
 //! not hold on our substrate.
 
-use pulp_bench::{CommonArgs, QUICK_KERNELS};
+use pulp_bench::{CommonArgs, RunContext, QUICK_KERNELS};
 use pulp_energy::pipeline::{LabeledDataset, PipelineOptions};
 use pulp_energy::report::render_class_distribution;
 use pulp_sim::ClusterConfig;
@@ -45,9 +45,8 @@ fn build(name: &str, config: ClusterConfig, args: &CommonArgs) -> LabeledDataset
     LabeledDataset::build(&opts).expect("dataset build failed")
 }
 
-fn main() {
-    let start = std::time::Instant::now();
-    let args = CommonArgs::parse();
+pub fn run(ctx: RunContext) {
+    let args = &ctx.args;
     let base_cfg = ClusterConfig::default();
     let variants: Vec<(&str, ClusterConfig)> = vec![
         ("baseline", base_cfg.clone()),
@@ -64,7 +63,7 @@ fn main() {
 
     let mut datasets: BTreeMap<&str, LabeledDataset> = BTreeMap::new();
     for (name, cfg) in &variants {
-        datasets.insert(name, build(name, cfg.clone(), &args));
+        datasets.insert(name, build(name, cfg.clone(), args));
     }
     let baseline = &datasets["baseline"];
     let base_labels = baseline.labels();
@@ -124,11 +123,7 @@ fn main() {
         mean_of("baseline"),
         mean_of("no-bank-conflicts")
     );
-    args.dump_json(&records);
-
     // The manifest records the *baseline* configuration; the ablated
     // variants are derived from it deterministically.
-    let mut manifest_opts = args.pipeline_options();
-    manifest_opts.config = base_cfg;
-    args.write_manifest("ablation_platform", &manifest_opts, None, start);
+    ctx.finish(&records);
 }

@@ -10,7 +10,7 @@
 //! when the cluster shape changes.
 
 use kernel_ir::{lower, DType};
-use pulp_bench::CommonArgs;
+use pulp_bench::RunContext;
 use pulp_energy_model::{energy_of, EnergyModel};
 use pulp_kernels::{registry, KernelParams};
 use pulp_sim::{simulate, ClusterConfig};
@@ -40,9 +40,7 @@ fn shapes() -> Vec<(String, ClusterConfig)> {
     ]
 }
 
-fn main() {
-    let start = std::time::Instant::now();
-    let args = CommonArgs::parse();
+pub fn run(ctx: RunContext) {
     let model = EnergyModel::table1();
     let kernels = [
         ("gemm", DType::F32),
@@ -112,8 +110,7 @@ fn main() {
         opt("8c4f", "bank_hammer"),
         opt("16c8f", "bank_hammer")
     );
-    args.dump_json(&rows);
     // The manifest records the paper-shape baseline; the alternative
     // cluster shapes are derived from it in `shapes()`.
-    args.write_manifest("cluster_sweep", &args.pipeline_options(), None, start);
+    ctx.finish(&rows);
 }

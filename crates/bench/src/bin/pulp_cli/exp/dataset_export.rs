@@ -3,13 +3,13 @@
 //! the full static feature vector, the per-class energies and the label.
 //!
 //! ```text
-//! cargo run --release -p pulp-bench --bin dataset_export            # stdout
-//! cargo run --release -p pulp-bench --bin dataset_export -- --json d.json
+//! cargo run --release -p pulp-bench --bin pulp_cli -- exp dataset-export            # stdout
+//! cargo run --release -p pulp-bench --bin pulp_cli -- exp dataset-export --json d.json
 //! ```
 //!
 //! (`--json` dumps the raw `LabeledDataset` record instead of CSV.)
 
-use pulp_bench::{load_or_build_dataset, CommonArgs};
+use pulp_bench::RunContext;
 use pulp_energy::{dynamic_feature_names, static_feature_names};
 
 fn csv_escape(s: &str) -> String {
@@ -20,11 +20,8 @@ fn csv_escape(s: &str) -> String {
     }
 }
 
-fn main() {
-    let start = std::time::Instant::now();
-    let args = CommonArgs::parse();
-    let opts = args.pipeline_options();
-    let data = load_or_build_dataset(&opts, &args, None);
+pub fn run(mut ctx: RunContext) {
+    let data = ctx.dataset();
 
     // Header.
     let mut cols: Vec<String> = vec![
@@ -56,8 +53,8 @@ fn main() {
         row.extend(s.dynamic_x.iter().map(|v| format!("{v}")));
         println!("{}", row.join(","));
     }
-    if !args.quiet {
-        args.logger().info(
+    if !ctx.args.quiet {
+        ctx.args.logger().info(
             "export",
             "rows written to stdout",
             &[
@@ -66,6 +63,5 @@ fn main() {
             ],
         );
     }
-    args.dump_json(&data);
-    args.write_manifest("dataset_export", &opts, None, start);
+    ctx.finish(&data);
 }

@@ -6,7 +6,7 @@
 //! distribution of our measured dataset, plus per-suite and per-dtype
 //! breakdowns.
 
-use pulp_bench::{load_or_build_dataset, CommonArgs};
+use pulp_bench::RunContext;
 use pulp_energy::report::render_class_distribution;
 use serde::Serialize;
 use std::collections::BTreeMap;
@@ -21,11 +21,8 @@ struct Record {
     mean_label_by_payload: BTreeMap<usize, f64>,
 }
 
-fn main() {
-    let start = std::time::Instant::now();
-    let args = CommonArgs::parse();
-    let opts = args.pipeline_options();
-    let data = load_or_build_dataset(&opts, &args, None);
+pub fn run(mut ctx: RunContext) {
+    let data = ctx.dataset();
 
     println!("E2 / §IV-B — dataset statistics\n");
     println!("samples: {} (paper: 448)", data.len());
@@ -71,7 +68,7 @@ fn main() {
         mean_label_by_payload.insert(*size, mean);
     }
 
-    args.dump_json(&Record {
+    ctx.finish(&Record {
         total_samples: data.len(),
         class_counts: counts.to_vec(),
         class_shares: shares,
@@ -79,5 +76,4 @@ fn main() {
         by_dtype,
         mean_label_by_payload,
     });
-    args.write_manifest("dataset_stats", &opts, None, start);
 }

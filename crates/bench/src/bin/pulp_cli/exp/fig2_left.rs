@@ -5,22 +5,19 @@
 //! static features exceed 75% accuracy at 5% tolerance; dynamic features
 //! sit above static ones by a bounded margin.
 
-use pulp_bench::{load_or_build_dataset, CommonArgs};
+use pulp_bench::RunContext;
 use pulp_energy::{
     always_n_curve, default_tolerances, report::render_curves, tolerance_curve, StaticFeatureSet,
 };
 
-fn main() {
-    let start = std::time::Instant::now();
-    let args = CommonArgs::parse();
-    let opts = args.pipeline_options();
-    let data = load_or_build_dataset(&opts, &args, None);
-    let protocol = args.protocol();
+pub fn run(mut ctx: RunContext) {
+    let data = ctx.dataset();
+    let protocol = ctx.protocol;
     let tolerances = default_tolerances();
     let energies = data.energies();
 
-    if !args.quiet {
-        args.logger().info(
+    if !ctx.args.quiet {
+        ctx.args.logger().info(
             "fig2-left",
             "cross-validating",
             &[
@@ -59,6 +56,5 @@ fn main() {
         "  tree beats always-8 at every tolerance: {}",
         curves[0].tolerances.iter().all(|&t| at(0, t) >= at(2, t))
     );
-    args.dump_json(&curves);
-    args.write_manifest("fig2_left", &opts, Some(&protocol), start);
+    ctx.finish(&curves);
 }

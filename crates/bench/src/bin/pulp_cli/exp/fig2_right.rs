@@ -6,7 +6,7 @@
 //! tolerance (~57%), approach 80% at 5%, and pruning to the most important
 //! features improves the 0%-tolerance accuracy.
 
-use pulp_bench::{load_or_build_dataset, CommonArgs};
+use pulp_bench::RunContext;
 use pulp_energy::{
     default_tolerances, report::render_curves, tolerance_curve, top_feature_columns,
     StaticFeatureSet, ToleranceCurve,
@@ -15,20 +15,17 @@ use pulp_energy::{
 /// Features kept by the pruning step (the paper's "optimised" classifier).
 const OPTIMIZED_FEATURES: usize = 6;
 
-fn main() {
-    let start = std::time::Instant::now();
-    let args = CommonArgs::parse();
-    let opts = args.pipeline_options();
-    let data = load_or_build_dataset(&opts, &args, None);
-    let protocol = args.protocol();
+pub fn run(mut ctx: RunContext) {
+    let data = ctx.dataset();
+    let protocol = ctx.protocol;
     let tolerances = default_tolerances();
     let energies = data.energies();
 
     let mut curves: Vec<ToleranceCurve> = Vec::new();
     for set in StaticFeatureSet::ALL_SETS {
         let ds = data.static_dataset(set).expect("static dataset");
-        if !args.quiet {
-            args.logger().info(
+        if !ctx.args.quiet {
+            ctx.args.logger().info(
                 "fig2-right",
                 "evaluating feature set",
                 &[
@@ -55,8 +52,8 @@ fn main() {
         .iter()
         .map(|&c| all.feature_names()[c].as_str())
         .collect();
-    if !args.quiet {
-        args.logger().info(
+    if !ctx.args.quiet {
+        ctx.args.logger().info(
             "fig2-right",
             "optimised set keeps",
             &[("features", format!("{kept:?}"))],
@@ -85,6 +82,5 @@ fn main() {
             at(0.05) * 100.0
         );
     }
-    args.dump_json(&curves);
-    args.write_manifest("fig2_right", &opts, Some(&protocol), start);
+    ctx.finish(&curves);
 }

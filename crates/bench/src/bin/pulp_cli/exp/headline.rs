@@ -14,8 +14,8 @@
 //! is never clobbered by a zoo sweep — and the record names its model so
 //! `bench diff` refuses cross-model comparisons via the accuracy map.
 
-use pulp_bench::cli::{self, Cli, Flag, Usage};
-use pulp_bench::{load_or_build_dataset, CommonArgs, COMMON_FLAGS};
+use pulp_bench::cli::{Cli, Flag};
+use pulp_bench::{CommonArgs, RunContext, COMMON_FLAGS};
 use pulp_energy::{
     default_tolerances, evaluation::curve_from_predictions, report::render_confusion,
     tolerance_curve, top_feature_columns, CacheStats, Protocol, StaticFeatureSet, ToleranceCurve,
@@ -26,8 +26,7 @@ use pulp_ml::{
 };
 use pulp_obs::JournalEvent;
 use serde::Serialize;
-use std::path::PathBuf;
-use std::time::Instant;
+use std::path::{Path, PathBuf};
 
 #[derive(Debug, Serialize)]
 struct Headline {
@@ -57,16 +56,14 @@ struct BenchHeadline {
     manifest_hash: String,
 }
 
-/// Headline's own flags, on top of [`COMMON_FLAGS`].
+/// Headline's flags: [`COMMON_FLAGS`] plus its own.
 #[rustfmt::skip]
-const HEADLINE_FLAGS: &[Flag] = &[
+pub const TABLES: &[&[Flag]] = &[COMMON_FLAGS, &[
     Flag::valued("--model", "tree|forest|gbt", "classifier behind every curve (default: tree)"),
     Flag::valued("--bench-out", "path", "record path (default: BENCH_headline[_<model>].json)"),
-];
+]];
 
-const USAGE: Usage = Usage::options(&[COMMON_FLAGS, HEADLINE_FLAGS]);
-
-struct Args {
+pub struct Args {
     common: CommonArgs,
     model: &'static str,
     bench_out: PathBuf,
@@ -75,7 +72,7 @@ struct Args {
 /// Decodes headline's command line. The record path defaults to
 /// `BENCH_headline.json` for the tree (the paper's model, the committed
 /// baseline) and to `BENCH_headline_<model>.json` for other zoo members.
-fn decode(cli: &Cli) -> Result<Args, String> {
+pub fn decode(cli: &Cli) -> Result<Args, String> {
     let model = cli
         .choice("--model", &["tree", "forest", "gbt"])?
         .unwrap_or("tree");
@@ -88,6 +85,16 @@ fn decode(cli: &Cli) -> Result<Args, String> {
         model,
         bench_out,
     })
+}
+
+/// `exp headline`: decodes the command line, then runs through one
+/// [`RunContext`].
+pub fn command(cli: &Cli) -> Result<crate::Run, String> {
+    let a = decode(cli)?;
+    let (model, out) = (a.model, a.bench_out);
+    Ok(super::wired(cli, a.common, true, move |ctx| {
+        run(ctx, model, &out)
+    }))
 }
 
 /// The tolerance curve of the selected zoo member over `data`. Trees use
@@ -144,36 +151,16 @@ fn model_curve(
     }
 }
 
-fn main() {
-    let start = Instant::now();
-    let Args {
-        common: args,
-        model,
-        bench_out: out,
-    } = cli::parse_env(&USAGE, decode);
-    let opts = args.pipeline_options();
-    let protocol = args.protocol();
-    let mut journal = args.journal_writer("headline", &opts, Some(&protocol));
-    let data = load_or_build_dataset(&opts, &args, journal.as_mut());
+pub fn run(mut ctx: RunContext, model: &str, out: &Path) {
+    let data = ctx.dataset();
+    let protocol = ctx.protocol;
     let tolerances = default_tolerances();
     let energies = data.energies();
 
-    // Journal writes must never fail the experiment; a full disk degrades
-    // to a warning.
-    let journal_event = |journal: &mut Option<pulp_obs::JournalWriter>, ev: JournalEvent| {
-        if let Some(j) = journal {
-            if let Err(e) = j.event(ev) {
-                eprintln!("[headline] warning: journal write failed: {e}");
-            }
-        }
-    };
-    journal_event(
-        &mut journal,
-        JournalEvent::StageStart {
-            stage: "train_eval".into(),
-        },
-    );
-    let eval_t0 = Instant::now();
+    ctx.event(JournalEvent::StageStart {
+        stage: "train_eval".into(),
+    });
+    let eval_t0 = std::time::Instant::now();
 
     let all = data.static_dataset(StaticFeatureSet::All).expect("static");
     let static_curve = model_curve(model, "static", &all, &energies, &tolerances, &protocol);
@@ -201,13 +188,10 @@ fn main() {
 
     let naive = pulp_energy::always_n_curve(8, &energies, &tolerances);
 
-    journal_event(
-        &mut journal,
-        JournalEvent::StageEnd {
-            stage: "train_eval".into(),
-            wall_ms: eval_t0.elapsed().as_secs_f64() * 1e3,
-        },
-    );
+    ctx.event(JournalEvent::StageEnd {
+        stage: "train_eval".into(),
+        wall_ms: eval_t0.elapsed().as_secs_f64() * 1e3,
+    });
 
     let at = |c: &pulp_energy::ToleranceCurve, t: f64| c.at(t).expect("non-empty tolerance grid");
     let h = Headline {
@@ -322,8 +306,6 @@ fn main() {
         verdict(h.static_at_5 > h.always8_at_5)
     );
 
-    args.dump_json(&h);
-
     // The headline accuracy figures land in the journal tail so
     // `pulp_cli bench history` can read trajectories from journals alone.
     for (name, value) in [
@@ -334,29 +316,26 @@ fn main() {
         ("optimized_at_5", h.optimized_at_5),
         ("dynamic_at_5", h.dynamic_at_5),
     ] {
-        journal_event(
-            &mut journal,
-            JournalEvent::BenchRecord {
-                bench: "headline".into(),
-                name: name.into(),
-                value,
-            },
-        );
+        ctx.event(JournalEvent::BenchRecord {
+            bench: "headline".into(),
+            name: name.into(),
+            value,
+        });
     }
-    args.finish_journal(journal);
 
     // Provenance + the benchmark-trajectory record `bench diff` compares.
-    let manifest = args.write_manifest("headline", &opts, Some(&protocol), start);
+    let (args, start, cache) = (ctx.args.clone(), ctx.start, ctx.opts.cache.clone());
+    let manifest = ctx.finish(&h);
     let bench = BenchHeadline {
         schema: "pulp-headline/v1",
         model: model.to_string(),
         naive_delta: h.static_at_5 - h.always8_at_5,
         accuracy: h,
         wall_time_ms: start.elapsed().as_millis() as u64,
-        cache: opts.cache.as_ref().map(|c| c.stats()),
+        cache: cache.as_ref().map(|c| c.stats()),
         manifest_hash: manifest.manifest_hash(),
     };
-    match pulp_bench::write_json(&out, &bench) {
+    match pulp_bench::write_json(out, &bench) {
         Err(e) => eprintln!("warning: {e}"),
         Ok(()) if !args.quiet => args.logger().info(
             "bench",
@@ -372,7 +351,7 @@ mod tests {
     use super::*;
 
     fn parse(line: &str) -> Result<Args, String> {
-        Cli::parse(line.split_whitespace().map(String::from), USAGE.tables).and_then(|c| decode(&c))
+        Cli::parse(line.split_whitespace().map(String::from), TABLES).and_then(|c| decode(&c))
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! the held-out remainder, answering how quickly accuracy saturates —
 //! i.e. how much smaller the paper's measurement campaign could have been.
 
-use pulp_bench::{load_or_build_dataset, CommonArgs};
+use pulp_bench::RunContext;
 use pulp_energy::StaticFeatureSet;
 use pulp_ml::{fan_out, mean_std, stratified_folds, tolerance_accuracy, DecisionTree, TreeParams};
 use serde::Serialize;
@@ -22,12 +22,9 @@ struct Point {
     acc_at_5_std: f64,
 }
 
-fn main() {
-    let start = std::time::Instant::now();
-    let args = CommonArgs::parse();
-    let opts = args.pipeline_options();
-    let data = load_or_build_dataset(&opts, &args, None);
-    let protocol = args.protocol();
+pub fn run(mut ctx: RunContext) {
+    let data = ctx.dataset();
+    let protocol = ctx.protocol;
     let all = data.static_dataset(StaticFeatureSet::All).expect("static");
     let energies = data.energies();
 
@@ -103,6 +100,5 @@ fn main() {
         "  half the dataset already reaches {:.1}% of the full-data accuracy",
         100.0 * half.acc_at_5_mean / last.acc_at_5_mean
     );
-    args.dump_json(&points);
-    args.write_manifest("learning_curve", &opts, Some(&protocol), start);
+    ctx.finish(&points);
 }

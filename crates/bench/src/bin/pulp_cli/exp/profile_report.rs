@@ -1,4 +1,4 @@
-//! `profile_report` — cycle-attribution and energy waterfall sweep.
+//! `exp profile-report` — cycle-attribution and energy waterfall sweep.
 //!
 //! Profiles the quick kernel subset at every team size and prints, per
 //! run, total cycles, energy and the dominant non-execute stall cause.
@@ -7,7 +7,7 @@
 //! minimum-energy team).
 
 use kernel_ir::{lower, DType};
-use pulp_bench::cli::{self, Cli, Flag, Usage};
+use pulp_bench::cli::{Cli, Flag};
 use pulp_bench::{profile_run, QUICK_KERNELS};
 use pulp_energy_model::{energy_waterfall, EnergyModel};
 use pulp_kernels::{registry, KernelParams};
@@ -16,23 +16,21 @@ use serde::Value;
 use std::process::ExitCode;
 
 #[rustfmt::skip]
-const FLAGS: &[Flag] = &[
+pub const FLAGS: &[Flag] = &[
     Flag::valued("--size",   "bytes", "payload size (default: 2048)"),
     Flag::switch("--detail",          "stall table + energy waterfall of the best team"),
     Flag::valued("--json",   "path",  "dump the per-team breakdowns to <path>"),
     Flag::switch("--quiet",           "suppress the per-run table"),
 ];
 
-const USAGE: Usage = Usage::options(&[FLAGS]);
-
-struct Args {
+pub struct Args {
     size: usize,
     detail: bool,
     json: Option<String>,
     quiet: bool,
 }
 
-fn decode(cli: &Cli) -> Result<Args, String> {
+pub fn decode(cli: &Cli) -> Result<Args, String> {
     cli.no_positionals()?;
     Ok(Args {
         size: cli.positive("--size")?.unwrap_or(2048),
@@ -52,8 +50,7 @@ fn dominant_stall(b: &pulp_sim::CycleBreakdown) -> (CycleCause, u64) {
         .unwrap_or((CycleCause::Idle, 0))
 }
 
-fn main() -> ExitCode {
-    let args = cli::parse_env(&USAGE, decode);
+pub fn run(args: &Args) -> ExitCode {
     let config = ClusterConfig::default();
     let model = EnergyModel::table1();
     let defs = registry();
@@ -167,7 +164,7 @@ mod tests {
     use super::*;
 
     fn parse(line: &str) -> Result<Args, String> {
-        Cli::parse(line.split_whitespace().map(String::from), USAGE.tables).and_then(|c| decode(&c))
+        Cli::parse(line.split_whitespace().map(String::from), &[FLAGS]).and_then(|c| decode(&c))
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! never seen?** Train on two suites, test on the third — and, stricter
 //! still, leave single kernels out entirely.
 
-use pulp_bench::{load_or_build_dataset, CommonArgs};
+use pulp_bench::RunContext;
 use pulp_energy::StaticFeatureSet;
 use pulp_ml::{tolerance_accuracy, DecisionTree, TreeParams};
 use serde::Serialize;
@@ -21,11 +21,8 @@ struct Row {
     acc_at_10: f64,
 }
 
-fn main() {
-    let start = std::time::Instant::now();
-    let args = CommonArgs::parse();
-    let opts = args.pipeline_options();
-    let data = load_or_build_dataset(&opts, &args, None);
+pub fn run(mut ctx: RunContext) {
+    let data = ctx.dataset();
     let all = data.static_dataset(StaticFeatureSet::All).expect("static");
     let energies = data.energies();
 
@@ -127,6 +124,5 @@ fn main() {
         "  LOKO acc@5% {:.1}% vs mixed-CV ~94%: unseen-kernel generalisation is the hard case",
         a5 * 100.0
     );
-    args.dump_json(&rows);
-    args.write_manifest("suite_generalization", &opts, None, start);
+    ctx.finish(&rows);
 }

@@ -52,9 +52,7 @@ fn marginal(config: &ClusterConfig, model: &EnergyModel, kind: OpKind, addr: Opt
     (e1.total() - e0.total()) / (n1 - n0) as f64
 }
 
-fn main() {
-    let start = std::time::Instant::now();
-    let args = pulp_bench::CommonArgs::parse();
+pub fn run(ctx: pulp_bench::RunContext) {
     let config = ClusterConfig::default();
     let model = EnergyModel::table1();
 
@@ -138,12 +136,11 @@ fn main() {
             error_percent: err,
         });
     }
-    args.dump_json(&rows);
 
     let worst = rows
         .iter()
         .map(|r| r.error_percent.abs())
         .fold(0.0, f64::max);
     println!("\nmax |error| = {worst:.2}% (expected ~0: the accounting charges each event once)");
-    args.write_manifest("table1_energy_model", &args.pipeline_options(), None, start);
+    ctx.finish(&rows);
 }

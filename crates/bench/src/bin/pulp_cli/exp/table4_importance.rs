@@ -5,7 +5,7 @@
 //! ranking; `avgws`, `F4` and `F1` dominate the static ranking, with a few
 //! MCA port pressures in the tail.
 
-use pulp_bench::{load_or_build_dataset, CommonArgs};
+use pulp_bench::RunContext;
 use pulp_energy::{rank_features, report::render_importances, StaticFeatureSet};
 use serde::Serialize;
 
@@ -15,12 +15,9 @@ struct Record {
     static_: Vec<pulp_energy::RankedFeature>,
 }
 
-fn main() {
-    let start = std::time::Instant::now();
-    let args = CommonArgs::parse();
-    let opts = args.pipeline_options();
-    let data = load_or_build_dataset(&opts, &args, None);
-    let protocol = args.protocol();
+pub fn run(mut ctx: RunContext) {
+    let data = ctx.dataset();
+    let protocol = ctx.protocol;
 
     let dynamic = rank_features(&data.dynamic_dataset().expect("dynamic"), &protocol);
     let static_ = rank_features(
@@ -55,6 +52,5 @@ fn main() {
         top_static
     );
 
-    args.dump_json(&Record { dynamic, static_ });
-    args.write_manifest("table4_importance", &opts, Some(&protocol), start);
+    ctx.finish(&Record { dynamic, static_ });
 }

@@ -1,4 +1,4 @@
-//! `telemetry_guard` — keeps the telemetry hooks zero-cost.
+//! `exp telemetry-guard` — keeps the telemetry hooks zero-cost.
 //!
 //! `simulate` monomorphises its generic telemetry parameter with
 //! [`NoTelemetry`], whose hooks are empty `#[inline(always)]` methods, so
@@ -11,7 +11,7 @@
 //! hard default gate flaky; the 2% threshold is the contract).
 
 use kernel_ir::{lower, DType};
-use pulp_bench::cli::{self, Cli, Flag, Usage};
+use pulp_bench::cli::{Cli, Flag};
 use pulp_kernels::{registry, KernelParams};
 use pulp_sim::{
     simulate_instrumented, simulate_traced, ClusterConfig, NoTelemetry, NullSink, Program,
@@ -20,21 +20,19 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 #[rustfmt::skip]
-const FLAGS: &[Flag] = &[
+pub const FLAGS: &[Flag] = &[
     Flag::valued("--iters",     "n",   "timed runs per entry point (default: 21)"),
     Flag::valued("--threshold", "pct", "allowed median overhead in % (default: 2)"),
     Flag::switch("--strict",           "exit 1 when the overhead exceeds the threshold"),
 ];
 
-const USAGE: Usage = Usage::options(&[FLAGS]);
-
-struct Args {
+pub struct Args {
     iters: usize,
     threshold: f64,
     strict: bool,
 }
 
-fn decode(cli: &Cli) -> Result<Args, String> {
+pub fn decode(cli: &Cli) -> Result<Args, String> {
     cli.no_positionals()?;
     Ok(Args {
         iters: cli.positive("--iters")?.unwrap_or(21),
@@ -62,8 +60,7 @@ fn workload(config: &ClusterConfig) -> Program {
     lower(&kernel, 8, config).expect("gemm lowers").program
 }
 
-fn main() -> ExitCode {
-    let args = cli::parse_env(&USAGE, decode);
+pub fn run(args: &Args) -> ExitCode {
     let config = ClusterConfig::default();
     let program = workload(&config);
 
@@ -140,7 +137,7 @@ mod tests {
     use super::*;
 
     fn parse(line: &str) -> Result<Args, String> {
-        Cli::parse(line.split_whitespace().map(String::from), USAGE.tables).and_then(|c| decode(&c))
+        Cli::parse(line.split_whitespace().map(String::from), &[FLAGS]).and_then(|c| decode(&c))
     }
 
     #[test]

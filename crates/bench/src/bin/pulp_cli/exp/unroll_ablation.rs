@@ -10,7 +10,7 @@
 //! places unrolled kernels within tolerance.
 
 use kernel_ir::{unroll_innermost, DType};
-use pulp_bench::CommonArgs;
+use pulp_bench::RunContext;
 use pulp_energy::{measure_kernel, static_feature_vector, EnergyPredictor, StaticFeatureSet};
 use pulp_energy_model::EnergyModel;
 use pulp_kernels::{registry, KernelParams};
@@ -29,19 +29,17 @@ struct Row {
     predictor_waste: f64,
 }
 
-fn main() {
-    let start = std::time::Instant::now();
-    let args = CommonArgs::parse();
-    let opts = args.pipeline_options();
+pub fn run(mut ctx: RunContext) {
     let config = ClusterConfig::default();
     let model = EnergyModel::table1();
 
     // Train a predictor on ordinary (factor-1) kernels.
-    if !args.quiet {
-        args.logger()
+    if !ctx.args.quiet {
+        ctx.args
+            .logger()
             .info("unroll", "training factor-1 predictor", &[]);
     }
-    let data = pulp_bench::load_or_build_dataset(&opts, &args, None);
+    let data = ctx.dataset();
     let predictor =
         EnergyPredictor::train(&data, StaticFeatureSet::All, TreeParams::default()).expect("train");
 
@@ -109,6 +107,5 @@ fn main() {
         "  factor-1 predictor stays within {:.1}% waste on unrolled code",
         max_waste * 100.0
     );
-    args.dump_json(&rows);
-    args.write_manifest("unroll_ablation", &opts, None, start);
+    ctx.finish(&rows);
 }

@@ -1,14 +1,14 @@
-//! One strict command-line parser for every `pulp-bench` binary.
+//! One strict command-line parser for a table of commands.
 //!
-//! A binary declares its flags in `&[Flag]` tables (name, value
-//! placeholder — `None` marks a switch — and help line), tokenizes argv
-//! with [`Cli::parse`] and decodes the raw values through the typed
-//! accessors, each of which names the flag and the offending value on
-//! error. [`parse_env`] wires this to the process arguments: an unknown
-//! flag, a missing value or a malformed value prints the error and the
-//! usage on stderr and exits 2 before anything runs; `--help`/`-h` prints
-//! the usage on stdout and exits 0. The usage text is generated from the
-//! same tables, so it cannot drift from what the parser accepts.
+//! Each [`Command`] declares its flags in `&[Flag]` tables (name, value
+//! placeholder — `None` marks a switch — and help line) and decodes the
+//! raw values through the typed accessors of [`Cli`], each of which names
+//! the flag and the offending value on error. [`parse_env`] wires this to
+//! the process arguments: an unknown command, a flag outside the command's
+//! tables, a missing value or a malformed value prints the error and the
+//! command's usage on stderr and exits 2 before anything runs;
+//! `--help`/`-h` prints the usage on stdout and exits 0. The usage text is
+//! generated from the same tables, so it cannot drift from the parser.
 
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -46,24 +46,16 @@ impl Flag {
     }
 }
 
-/// A binary's synopsis lines plus the flag tables it accepts.
+/// Synopsis lines plus the flag tables they accept.
 #[derive(Debug, Clone, Copy)]
-pub struct Usage {
+pub struct Usage<'a> {
     /// Synopsis lines, each rendered after the program name.
-    pub synopsis: &'static [&'static str],
-    /// Every flag the binary accepts (besides `--help`/`-h`).
-    pub tables: &'static [&'static [Flag]],
+    pub synopsis: &'a [&'a str],
+    /// Every flag accepted (besides `--help`/`-h`).
+    pub tables: &'a [&'a [Flag]],
 }
 
-impl Usage {
-    /// The usage of a binary that takes only flags.
-    pub const fn options(tables: &'static [&'static [Flag]]) -> Self {
-        Self {
-            synopsis: &["[options]"],
-            tables,
-        }
-    }
-
+impl Usage<'_> {
     /// The usage text: synopsis lines, then one aligned line per flag.
     pub fn render(&self, program: &str) -> String {
         let flags: Vec<&Flag> = self.tables.iter().flat_map(|t| t.iter()).collect();
@@ -91,7 +83,8 @@ impl Usage {
 /// flag and the value.
 #[derive(Debug, Default)]
 pub struct Cli {
-    declared: Vec<&'static str>,
+    /// The command [`select`] chose (empty for a bare [`Cli::parse`]).
+    command: &'static str,
     /// Each flag given, with its value (`None` for a switch).
     given: HashMap<&'static str, Option<String>>,
     positionals: Vec<String>,
@@ -107,10 +100,7 @@ impl Cli {
         tables: &[&'static [Flag]],
     ) -> Result<Self, String> {
         let flags = || tables.iter().flat_map(|t| t.iter());
-        let mut cli = Self {
-            declared: flags().map(|f| f.name).collect(),
-            ..Self::default()
-        };
+        let mut cli = Self::default();
         let mut argv = argv.into_iter();
         while let Some(token) = argv.next() {
             if token == "--help" || token == "-h" {
@@ -139,13 +129,19 @@ impl Cli {
         Ok(cli)
     }
 
+    /// The value of `name` if given; a flag outside the command's tables
+    /// reads as absent, so several commands can share one decoder.
     fn given(&self, name: &str) -> Option<&Option<String>> {
-        debug_assert!(self.declared.contains(&name), "undeclared flag {name}");
         self.given.get(name)
     }
 
     fn raw(&self, name: &str) -> Option<&str> {
         self.given(name)?.as_deref()
+    }
+
+    /// The name of the selected command, e.g. `bench diff`.
+    pub fn command(&self) -> &'static str {
+        self.command
     }
 
     /// Whether `--help`/`-h` was given.
@@ -237,27 +233,136 @@ impl Cli {
     }
 }
 
-/// Parses the process arguments against `usage` and decodes them with
-/// `decode`. Every value is validated before this returns, so a binary
-/// runs nothing on bad input: any error prints it and the usage on
-/// stderr and exits 2; `--help`/`-h` prints the usage on stdout and
-/// exits 0.
-pub fn parse_env<T>(usage: &Usage, decode: impl FnOnce(&Cli) -> Result<T, String>) -> T {
+/// One command of a multi-command binary.
+pub struct Command<R> {
+    /// The words that select the command, e.g. `bench diff`.
+    pub name: &'static str,
+    /// Its positional arguments, e.g. `OLD NEW`: one word per required
+    /// argument; a last word ending in `...` takes one or more.
+    pub args: &'static str,
+    /// One-line summary for the command list.
+    pub about: &'static str,
+    /// Every flag the command accepts (besides `--help`/`-h`).
+    pub tables: &'static [&'static [Flag]],
+    /// Validates the parsed command line into what the command runs.
+    pub decode: fn(&Cli) -> Result<R, String>,
+}
+
+impl<R> Command<R> {
+    /// The command's usage text: its synopsis, then one line per flag.
+    pub fn usage(&self, program: &str) -> String {
+        let synopsis = format!("{} {} [options]", self.name, self.args).replace("  ", " ");
+        Usage {
+            synopsis: &[&synopsis],
+            tables: self.tables,
+        }
+        .render(program)
+    }
+
+    /// Checks the number of positional arguments against [`args`](Self::args).
+    fn check_args(&self, given: &[String]) -> Result<(), String> {
+        let want: Vec<&str> = self.args.split_whitespace().collect();
+        let variadic = want.last().is_some_and(|w| w.ends_with("..."));
+        if let Some(missing) = want.get(given.len()) {
+            return Err(format!("missing {missing}"));
+        }
+        match given.get(want.len()) {
+            Some(extra) if !variadic => Err(format!("unexpected argument `{extra}`")),
+            _ => Ok(()),
+        }
+    }
+}
+
+/// How a command line ends when it runs nothing.
+#[derive(Debug)]
+pub enum Stop {
+    /// `--help`/`-h`: the usage, for stdout (exit 0).
+    Help(String),
+    /// A usage error: the message plus the usage, for stderr (exit 2).
+    Error(String),
+}
+
+/// Selects the command named by the leading words of `argv` and tokenizes
+/// the rest against that command's tables. `--help` stops with the
+/// command's usage (without a command, with the list of commands); an
+/// unknown command, a flag outside the command's tables or a wrong number
+/// of positional arguments stops with an error naming it.
+///
+/// # Errors
+///
+/// The [`Stop`] to print instead of running anything.
+pub fn select<'c, R>(
+    program: &str,
+    commands: &'c [Command<R>],
+    argv: Vec<String>,
+) -> Result<(&'c Command<R>, Cli), Stop> {
+    let named = |c: &&Command<R>| {
+        let words: Vec<&str> = c.name.split(' ').collect();
+        argv.len() >= words.len() && words.iter().zip(&argv).all(|(w, a)| w == a)
+    };
+    let Some(cmd) = commands.iter().find(named) else {
+        let spelled = |c: &Command<R>| format!("{} {}", c.name, c.args).trim_end().to_string();
+        let width = commands.iter().map(|c| spelled(c).len()).max().unwrap_or(0);
+        let mut list = format!("usage: {program} <command> [options]\n\ncommands:\n");
+        for c in commands {
+            let _ = writeln!(list, "  {:<width$}  {}", spelled(c), c.about);
+        }
+        let _ = writeln!(list, "\nrun `{program} <command> --help` for its flags");
+        if argv.iter().any(|a| a == "--help" || a == "-h") {
+            return Err(Stop::Help(list));
+        }
+        let typed: Vec<&str> = argv
+            .iter()
+            .take_while(|a| !a.starts_with('-'))
+            .take(2)
+            .map(String::as_str)
+            .collect();
+        let msg = match argv.first() {
+            None => "missing command".to_string(),
+            Some(first) if typed.is_empty() => format!("missing command before `{first}`"),
+            Some(_) => format!("unknown command `{}`", typed.join(" ")),
+        };
+        return Err(Stop::Error(format!("error: {msg}\n\n{list}")));
+    };
+    let fail = |msg: String| Stop::Error(format!("error: {msg}\n\n{}", cmd.usage(program)));
+    let words = cmd.name.split(' ').count();
+    let mut cli = Cli::parse(argv.into_iter().skip(words), cmd.tables).map_err(fail)?;
+    cli.command = cmd.name;
+    if cli.help() {
+        return Err(Stop::Help(cmd.usage(program)));
+    }
+    cmd.check_args(cli.positionals()).map_err(fail)?;
+    Ok((cmd, cli))
+}
+
+/// [`select`]s the command and decodes its line, so every value is
+/// validated before anything runs.
+///
+/// # Errors
+///
+/// The [`Stop`] to print instead of running anything.
+pub fn dispatch<R>(program: &str, commands: &[Command<R>], argv: Vec<String>) -> Result<R, Stop> {
+    let (cmd, cli) = select(program, commands, argv)?;
+    (cmd.decode)(&cli).map_err(|msg| Stop::Error(format!("error: {msg}\n\n{}", cmd.usage(program))))
+}
+
+/// [`dispatch`]es the process arguments: a [`Stop::Help`] prints on
+/// stdout and exits 0, a [`Stop::Error`] prints on stderr and exits 2.
+pub fn parse_env<R>(commands: &[Command<R>]) -> R {
     let mut argv = std::env::args();
     let program = argv
         .next()
         .as_deref()
         .and_then(|p| Path::new(p).file_name()?.to_str().map(String::from))
         .unwrap_or_else(|| "pulp-bench".to_string());
-    let parsed = Cli::parse(argv, usage.tables).and_then(|cli| Ok((decode(&cli)?, cli.help())));
-    match parsed {
-        Ok((value, false)) => value,
-        Ok((_, true)) => {
-            print!("{}", usage.render(&program));
+    match dispatch(&program, commands, argv.collect()) {
+        Ok(value) => value,
+        Err(Stop::Help(text)) => {
+            print!("{text}");
             std::process::exit(0);
         }
-        Err(msg) => {
-            eprintln!("error: {msg}\n\n{}", usage.render(&program));
+        Err(Stop::Error(text)) => {
+            eprint!("{text}");
             std::process::exit(2);
         }
     }

@@ -1,20 +1,22 @@
 //! # pulp-bench — experiment harness
 //!
-//! One binary per table/figure of the paper (see DESIGN.md §5 and
-//! EXPERIMENTS.md), plus Criterion micro-benchmarks of the substrates.
+//! One binary, `pulp_cli`: `pulp_cli exp <name>` regenerates each table
+//! and figure of the paper (DESIGN.md §5, EXPERIMENTS.md); its other
+//! commands drive the benchmarks, the server and the inspection tools.
 //!
-//! Every binary declares its flags in a [`cli::Flag`] table and parses
+//! Every command declares its flags in [`cli::Flag`] tables and parses
 //! them with the one strict parser in [`cli`]: an unknown flag, a missing
 //! value or a malformed value names the flag on stderr and exits 2 before
 //! anything runs, and `--help`/`-h` prints the usage generated from the
 //! same tables and exits 0.
 //!
-//! All experiment binaries accept [`COMMON_FLAGS`]; `--quick` runs the
-//! reduced dataset and CV protocol, and `--cache-dir <dir>` is the only
-//! dataset cache: a content-addressed per-sample sweep store, so a warm
-//! rerun simulates nothing. Without it every run simulates the whole
-//! dataset. Predictions are bit-identical at any `--threads` or
-//! `--cv-threads` value.
+//! All pipeline experiments accept [`COMMON_FLAGS`] and run through one
+//! [`RunContext`], which owns the run journal, the `--json` record and the
+//! run manifest. `--quick` runs the reduced dataset and CV protocol, and
+//! `--cache-dir <dir>` is the only dataset cache: a content-addressed
+//! per-sample sweep store, so a warm rerun simulates nothing. Without it
+//! every run simulates the whole dataset. Predictions are bit-identical at
+//! any `--threads` or `--cv-threads` value.
 
 pub mod cli;
 pub mod models_bench;
@@ -34,30 +36,41 @@ pub use serve_bench::{
 };
 pub use sim_bench::{basket_program, run_sim_bench, SimBenchOptions, SimBenchReport, SimBenchRow};
 
-use cli::{Cli, Flag, Usage};
+use cli::{Cli, Flag};
 use pulp_energy::pipeline::{BuildObserver, LabeledDataset, PipelineOptions};
 use pulp_energy::{Protocol, RunManifest, SweepCache};
-use pulp_obs::{JournalWriter, LogFormat, Logger, Recorder};
+use pulp_obs::{JournalEvent, JournalWriter, LogFormat, Logger, Recorder};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// The flags every experiment binary accepts.
+/// The flags of [`COMMON_FLAGS`], one constant each, so that every
+/// command sharing a flag shares its spelling, its help line and (through
+/// [`CommonArgs::from_cli`]) its decoder.
 #[rustfmt::skip]
-pub const COMMON_FLAGS: &[Flag] = &[
-    Flag::switch("--quick",               "reduced dataset + reduced CV protocol"),
-    Flag::valued("--json",        "path", "dump the machine-readable record to <path>"),
-    Flag::valued("--threads",     "n",    "simulation worker threads (0 = all cores)"),
-    Flag::valued("--cv-threads",  "n",    "cross-validation worker threads (0 = all cores)"),
-    Flag::valued("--cache-dir",   "dir",  "content-addressed sweep cache directory"),
-    Flag::switch("--progress",            "per-sample progress lines on stderr"),
-    Flag::switch("--quiet",               "suppress informational stderr chatter"),
-    Flag::switch("--log-json",            "JSON-lines structured logs on stderr"),
-    Flag::valued("--manifest",    "path", "run-manifest path (default: manifest.json)"),
-    Flag::switch("--no-manifest",         "skip writing the run manifest"),
-    Flag::valued("--max-cycles",  "n",    "per-run simulation cycle budget"),
-    Flag::valued("--journal",     "path", "JSONL run journal (read with `pulp_cli report`)"),
-];
+pub mod flags {
+    use crate::cli::Flag;
+
+    pub const QUICK: Flag =       Flag::switch("--quick",               "quick profile: reduced dataset, protocol and workload");
+    pub const JSON: Flag =        Flag::valued("--json",        "path", "dump the machine-readable record to <path>");
+    pub const THREADS: Flag =     Flag::valued("--threads",     "n",    "simulation worker threads (0 = all cores)");
+    pub const CV_THREADS: Flag =  Flag::valued("--cv-threads",  "n",    "cross-validation worker threads (0 = all cores)");
+    pub const CACHE_DIR: Flag =   Flag::valued("--cache-dir",   "dir",  "content-addressed sweep cache directory");
+    pub const PROGRESS: Flag =    Flag::switch("--progress",            "per-sample progress lines on stderr");
+    pub const QUIET: Flag =       Flag::switch("--quiet",               "suppress informational stderr chatter");
+    pub const LOG_JSON: Flag =    Flag::switch("--log-json",            "JSON-lines structured logs on stderr");
+    pub const MANIFEST: Flag =    Flag::valued("--manifest",    "path", "run-manifest path (default: manifest.json)");
+    pub const NO_MANIFEST: Flag = Flag::switch("--no-manifest",         "skip writing the run manifest");
+    pub const MAX_CYCLES: Flag =  Flag::valued("--max-cycles",  "n",    "per-run simulation cycle budget");
+    pub const JOURNAL: Flag =     Flag::valued("--journal",     "path", "JSONL run journal (read with `pulp_cli report`)");
+}
+
+/// The flags every pipeline experiment accepts.
+#[rustfmt::skip]
+pub const COMMON_FLAGS: &[Flag] = {
+    use flags::*;
+    &[QUICK, JSON, THREADS, CV_THREADS, CACHE_DIR, PROGRESS, QUIET, LOG_JSON, MANIFEST, NO_MANIFEST, MAX_CYCLES, JOURNAL]
+};
 
 /// Parsed common command-line options.
 #[derive(Debug, Clone, Default)]
@@ -93,32 +106,27 @@ pub struct CommonArgs {
 }
 
 impl CommonArgs {
-    /// Parses the process arguments against [`COMMON_FLAGS`]: an unknown
-    /// flag, a missing or malformed value or a stray argument prints the
-    /// error and the usage and exits 2; `--help`/`-h` prints the usage and
-    /// exits 0 before anything runs.
-    pub fn parse() -> Self {
-        cli::parse_env(&Usage::options(&[COMMON_FLAGS]), Self::from_cli)
-    }
-
-    /// [`parse`](Self::parse) over an explicit argument list (testable).
+    /// Parses a whole command line against [`COMMON_FLAGS`] (testable).
     ///
     /// # Errors
     ///
     /// Returns a human-readable message naming the offending flag.
     pub fn parse_from(args: impl IntoIterator<Item = String>) -> Result<Self, String> {
-        Self::from_cli(&Cli::parse(args, &[COMMON_FLAGS])?)
+        let cli = Cli::parse(args, &[COMMON_FLAGS])?;
+        cli.no_positionals()?;
+        Self::from_cli(&cli)
     }
 
-    /// Decodes the common flags of a parsed command line; binaries with
-    /// their own table parse against `[COMMON_FLAGS, OWN_FLAGS]` and call
-    /// this for the shared part.
+    /// Decodes the common flags of a parsed command line (its positional
+    /// arguments are the command's business). A command that declares
+    /// only some of them (`serve`, `bench sim`, `bench models`, the kernel
+    /// commands' `--max-cycles`) reads the rest as absent, so each shared
+    /// flag has one decoder.
     ///
     /// # Errors
     ///
-    /// Names the flag and value at fault, or the first stray argument.
+    /// Names the flag and value at fault.
     pub fn from_cli(cli: &Cli) -> Result<Self, String> {
-        cli.no_positionals()?;
         Ok(Self {
             quick: cli.switch("--quick"),
             json: cli.path("--json"),
@@ -188,64 +196,11 @@ impl CommonArgs {
         })
     }
 
-    /// Writes the run manifest for `tool` (unless `--no-manifest`):
-    /// versions, config/model hashes (sweep-cache keying), protocol, seed,
-    /// cache counters and wall time since `start`. The default path is
-    /// `manifest.json` in the working directory — next to the binary's
-    /// report output — overridable with `--manifest <path>`.
-    ///
-    /// Returns the manifest written (also when writing was skipped or
-    /// failed), so binaries can embed its hash in their own reports.
-    pub fn write_manifest(
-        &self,
-        tool: &str,
-        opts: &PipelineOptions,
-        protocol: Option<&Protocol>,
-        start: Instant,
-    ) -> RunManifest {
-        let mut m = RunManifest::new(tool, &opts.config, &opts.model)
-            .with_extra("quick", self.quick)
-            .with_wall_time_ms(start.elapsed().as_millis() as u64);
-        if let Some(p) = protocol {
-            m = m.with_protocol(*p);
-        }
-        if let Some(cache) = &opts.cache {
-            m = m.with_cache_stats(cache.stats());
-        }
-        if self.no_manifest {
-            return m;
-        }
-        let path = self
-            .manifest
-            .clone()
-            .unwrap_or_else(|| PathBuf::from("manifest.json"));
-        if let Err(e) = m.write(&path) {
-            self.logger().warn(
-                "manifest",
-                "cannot write manifest",
-                &[
-                    ("path", path.display().to_string()),
-                    ("error", e.to_string()),
-                ],
-            );
-        } else if !self.quiet {
-            self.logger().info(
-                "manifest",
-                "written",
-                &[
-                    ("path", path.display().to_string()),
-                    ("hash", m.manifest_hash()),
-                ],
-            );
-        }
-        m
-    }
-
     /// Opens the run journal when `--journal` was given. The run id is
     /// seeded from the **pre-run** manifest hash — the same provenance
-    /// [`write_manifest`](Self::write_manifest) records minus the fields
-    /// only known at exit (wall time, cache counters) — so the id is
-    /// stable for identical inputs and computable before the run starts.
+    /// [`RunContext::finish`] records minus the fields only known at exit
+    /// (wall time, cache counters) — so the id is stable for identical
+    /// inputs and computable before the run starts.
     ///
     /// An unopenable path warns and degrades to no journal; observability
     /// must never fail the experiment.
@@ -295,12 +250,159 @@ impl CommonArgs {
             }
         }
     }
+}
 
-    /// Writes `record` as pretty JSON if `--json` was given.
-    pub fn dump_json<T: serde::Serialize>(&self, record: &T) {
-        if let Some(Err(e)) = self.json.as_deref().map(|path| write_json(path, record)) {
+/// One pipeline experiment run: the decoded [`CommonArgs`], the pipeline
+/// options and protocol they imply, and the run journal. Every experiment
+/// runs through one, so `--journal`, `--json` and the manifest behave the
+/// same in all of them.
+pub struct RunContext {
+    /// The decoded common flags.
+    pub args: CommonArgs,
+    /// The pipeline options implied by `args`.
+    pub opts: PipelineOptions,
+    /// The evaluation protocol implied by `args`.
+    pub protocol: Protocol,
+    /// When the run started (the manifest's wall time counts from here).
+    pub start: Instant,
+    tool: String,
+    records_protocol: bool,
+    journal: Option<JournalWriter>,
+}
+
+impl RunContext {
+    /// Starts a run of `tool` (the name its manifest and journal carry)
+    /// and opens the journal when `--journal` was given. With
+    /// `records_protocol` the manifest and the journal's run id include
+    /// the cross-validation protocol.
+    pub fn new(tool: &str, args: CommonArgs, records_protocol: bool) -> Self {
+        let start = Instant::now();
+        let opts = args.pipeline_options();
+        let protocol = args.protocol();
+        let journal = args.journal_writer(tool, &opts, records_protocol.then_some(&protocol));
+        Self {
+            args,
+            opts,
+            protocol,
+            start,
+            tool: tool.to_string(),
+            records_protocol,
+            journal,
+        }
+    }
+
+    /// Builds the dataset; with `--cache-dir` every sample is looked up in
+    /// (and stored to) the content-addressed sweep cache, so a warm rebuild
+    /// simulates nothing. `--quiet` suppresses the stderr chatter;
+    /// `--progress` adds per-sample lines through the run's [`Logger`], so
+    /// `--log-json` yields machine-readable progress too. The build's stage
+    /// events, per-shard heartbeats, slow kernels and cache attribution go
+    /// to the journal.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the dataset cannot be built — experiments cannot proceed
+    /// without it.
+    pub fn dataset(&mut self) -> LabeledDataset {
+        let (opts, args) = (&self.opts, &self.args);
+        let log = args.logger();
+        if !args.quiet {
+            log.info(
+                "dataset",
+                "building (this simulates every sample at 1..=8 cores)",
+                &[(
+                    "kernels",
+                    opts.kernel_filter.as_ref().map_or(59, Vec::len).to_string(),
+                )],
+            );
+        }
+        let start = Instant::now();
+        let mut rec = Recorder::new();
+        let observer = BuildObserver {
+            journal: self.journal.as_mut(),
+            logger: Some(&log),
+        };
+        let data =
+            LabeledDataset::build_observed(opts, &mut rec, observer).expect("dataset build failed");
+        if !args.quiet {
+            log.info(
+                "dataset",
+                "built",
+                &[
+                    ("samples", data.len().to_string()),
+                    ("elapsed", format!("{:.1?}", start.elapsed())),
+                ],
+            );
+        }
+        if let Some(sweep) = &opts.cache {
+            // In text mode this renders exactly as the historical
+            // `[cache] N hits, ...` line the CI warm-cache check asserts on: a
+            // warm run must report a 100% hit rate (zero simulator
+            // invocations).
+            log.info("cache", &sweep.stats().to_string(), &[]);
+        }
+        data
+    }
+
+    /// Appends `ev` to the journal, if any. A failed write warns: journal
+    /// writes must never fail the experiment.
+    pub fn event(&mut self, ev: JournalEvent) {
+        if let Some(Err(e)) = self.journal.as_mut().map(|j| j.event(ev)) {
+            self.args
+                .logger()
+                .warn("journal", "write failed", &[("error", e.to_string())]);
+        }
+    }
+
+    /// Ends the run: writes `record` as pretty JSON under `--json`,
+    /// finalizes the journal and writes the run manifest (unless
+    /// `--no-manifest`): versions, config/model hashes (sweep-cache
+    /// keying), protocol, seed, cache counters and wall time. The default
+    /// path is `manifest.json` in the working directory, overridable with
+    /// `--manifest <path>`. Returns the manifest (also when writing was
+    /// skipped or failed), so a run can embed its hash in its own records.
+    pub fn finish<T: serde::Serialize>(self, record: &T) -> RunManifest {
+        let (args, opts) = (&self.args, &self.opts);
+        if let Some(Err(e)) = args.json.as_deref().map(|path| write_json(path, record)) {
             eprintln!("warning: {e}");
         }
+        args.finish_journal(self.journal);
+        let mut m = RunManifest::new(&self.tool, &opts.config, &opts.model)
+            .with_extra("quick", args.quick)
+            .with_wall_time_ms(self.start.elapsed().as_millis() as u64);
+        if self.records_protocol {
+            m = m.with_protocol(self.protocol);
+        }
+        if let Some(cache) = &opts.cache {
+            m = m.with_cache_stats(cache.stats());
+        }
+        if args.no_manifest {
+            return m;
+        }
+        let path = args
+            .manifest
+            .clone()
+            .unwrap_or_else(|| PathBuf::from("manifest.json"));
+        if let Err(e) = m.write(&path) {
+            args.logger().warn(
+                "manifest",
+                "cannot write manifest",
+                &[
+                    ("path", path.display().to_string()),
+                    ("error", e.to_string()),
+                ],
+            );
+        } else if !args.quiet {
+            args.logger().info(
+                "manifest",
+                "written",
+                &[
+                    ("path", path.display().to_string()),
+                    ("hash", m.manifest_hash()),
+                ],
+            );
+        }
+        m
     }
 }
 
@@ -323,67 +425,6 @@ pub const QUICK_KERNELS: &[&str] = &[
     "compute_dense",
     "l2_stream",
 ];
-
-/// Builds the dataset; with `--cache-dir` every sample is looked up in
-/// (and stored to) the content-addressed sweep cache, so a warm rebuild
-/// simulates nothing. `--quiet` suppresses the stderr chatter;
-/// `--progress` (already folded into `opts` by
-/// [`CommonArgs::pipeline_options`]) adds per-sample lines, which go
-/// through the binary's [`Logger`] so `--log-json` yields
-/// machine-readable progress too. With a run journal the build's stage
-/// events, per-shard heartbeats, slow kernels and cache attribution are
-/// appended to it.
-///
-/// # Panics
-///
-/// Panics when the dataset cannot be built — experiments cannot proceed
-/// without it.
-pub fn load_or_build_dataset(
-    opts: &PipelineOptions,
-    args: &CommonArgs,
-    journal: Option<&mut JournalWriter>,
-) -> LabeledDataset {
-    let log = args.logger();
-    if !args.quiet {
-        log.info(
-            "dataset",
-            "building (this simulates every sample at 1..=8 cores)",
-            &[(
-                "kernels",
-                opts.kernel_filter.as_ref().map_or(59, Vec::len).to_string(),
-            )],
-        );
-    }
-    let start = Instant::now();
-    let mut rec = Recorder::new();
-    let data = LabeledDataset::build_observed(
-        opts,
-        &mut rec,
-        BuildObserver {
-            journal,
-            logger: Some(&log),
-        },
-    )
-    .expect("dataset build failed");
-    if !args.quiet {
-        log.info(
-            "dataset",
-            "built",
-            &[
-                ("samples", data.len().to_string()),
-                ("elapsed", format!("{:.1?}", start.elapsed())),
-            ],
-        );
-    }
-    if let Some(sweep) = &opts.cache {
-        // In text mode this renders exactly as the historical
-        // `[cache] N hits, ...` line the CI warm-cache check asserts on: a
-        // warm run must report a 100% hit rate (zero simulator
-        // invocations).
-        log.info("cache", &sweep.stats().to_string(), &[]);
-    }
-    data
-}
 
 #[cfg(test)]
 mod tests {

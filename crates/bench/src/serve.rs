@@ -1819,7 +1819,7 @@ fn predict_batch(
     let parse_s = tracer.finish(span);
 
     let span = tracer.begin("features");
-    let width = pulp_energy::static_feature_names().len();
+    let width = pulp_energy::STATIC_WIDTH;
     let featurized: Vec<Featurized> = items
         .iter()
         .enumerate()

@@ -60,6 +60,11 @@ impl StaticFeatureSet {
     }
 }
 
+/// Width of the full static feature vector: the seven RAW/AGG features
+/// plus the MCA family. Reading it allocates nothing, unlike
+/// `static_feature_names().len()`.
+pub const STATIC_WIDTH: usize = 7 + MCA_FEATURE_NAMES.len();
+
 /// Names of the full 20-dimensional static feature vector.
 pub fn static_feature_names() -> Vec<String> {
     let mut names = vec![
@@ -135,6 +140,11 @@ mod tests {
         let v = static_feature_vector(&kernel());
         assert_eq!(v.len(), static_feature_names().len());
         assert_eq!(v.len(), 20);
+    }
+
+    #[test]
+    fn static_width_is_the_number_of_static_names() {
+        assert_eq!(STATIC_WIDTH, static_feature_names().len());
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub use evaluation::{
 };
 pub use features::{
     dynamic_feature_names, dynamic_feature_vector, static_feature_names, static_feature_vector,
-    StaticFeatureSet,
+    StaticFeatureSet, STATIC_WIDTH,
 };
 pub use labeling::{
     measure_kernel, measure_kernels_sharded, EnergyProfile, MeasureError, SweepProgress,

@@ -158,7 +158,7 @@ impl EnergyPredictor {
     /// Returns [`PredictorError::FeatureWidth`] when `full` does not cover
     /// every column this predictor was trained on.
     pub fn predict_cores_from_static(&self, full: &[f64]) -> Result<usize, PredictorError> {
-        let width = crate::features::static_feature_names().len();
+        let width = crate::features::STATIC_WIDTH;
         if full.len() != width {
             return Err(PredictorError::FeatureWidth {
                 expected: width,
@@ -188,7 +188,7 @@ impl EnergyPredictor {
     /// width does not cover every trained column; no row is predicted
     /// until all widths check out.
     pub fn predict_cores_batch(&self, rows: &[Vec<f64>]) -> Result<Vec<usize>, PredictorError> {
-        let width = crate::features::static_feature_names().len();
+        let width = crate::features::STATIC_WIDTH;
         if let Some(bad) = rows.iter().find(|r| r.len() != width) {
             return Err(PredictorError::FeatureWidth {
                 expected: width,
@@ -221,7 +221,7 @@ impl EnergyPredictor {
         &self,
         rows: &[Vec<f64>],
     ) -> Result<Vec<usize>, PredictorError> {
-        let width = crate::features::static_feature_names().len();
+        let width = crate::features::STATIC_WIDTH;
         if let Some(bad) = rows.iter().find(|r| r.len() != width) {
             return Err(PredictorError::FeatureWidth {
                 expected: width,
