@@ -7,7 +7,7 @@
 //! unchanged, that mechanism was irrelevant — the paper's premise would
 //! not hold on our substrate.
 
-use pulp_bench::{CommonArgs, RunContext, QUICK_KERNELS};
+use pulp_bench::{RunContext, QUICK_KERNELS};
 use pulp_energy::pipeline::{LabeledDataset, PipelineOptions};
 use pulp_energy::report::render_class_distribution;
 use pulp_sim::ClusterConfig;
@@ -22,7 +22,10 @@ struct AblationRecord {
     mean_label: f64,
 }
 
-fn build(name: &str, config: ClusterConfig, args: &CommonArgs) -> LabeledDataset {
+/// Builds the dataset on the ablated platform `config` as the journal
+/// stage `name`.
+fn build(name: &str, config: ClusterConfig, ctx: &mut RunContext) -> LabeledDataset {
+    let args = &ctx.args;
     let mut opts = if args.quick {
         PipelineOptions::quick(QUICK_KERNELS)
     } else {
@@ -42,11 +45,10 @@ fn build(name: &str, config: ClusterConfig, args: &CommonArgs) -> LabeledDataset
             &[("variant", name.to_string())],
         );
     }
-    LabeledDataset::build(&opts).expect("dataset build failed")
+    ctx.stage(name, |ctx| ctx.dataset_with(&opts))
 }
 
-pub fn run(ctx: RunContext) {
-    let args = &ctx.args;
+pub fn run(mut ctx: RunContext) {
     let base_cfg = ClusterConfig::default();
     let variants: Vec<(&str, ClusterConfig)> = vec![
         ("baseline", base_cfg.clone()),
@@ -63,7 +65,7 @@ pub fn run(ctx: RunContext) {
 
     let mut datasets: BTreeMap<&str, LabeledDataset> = BTreeMap::new();
     for (name, cfg) in &variants {
-        datasets.insert(name, build(name, cfg.clone(), args));
+        datasets.insert(name, build(name, cfg.clone(), &mut ctx));
     }
     let baseline = &datasets["baseline"];
     let base_labels = baseline.labels();

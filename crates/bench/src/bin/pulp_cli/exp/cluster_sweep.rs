@@ -40,7 +40,7 @@ fn shapes() -> Vec<(String, ClusterConfig)> {
     ]
 }
 
-pub fn run(ctx: RunContext) {
+pub fn run(mut ctx: RunContext) {
     let model = EnergyModel::table1();
     let kernels = [
         ("gemm", DType::F32),
@@ -57,39 +57,42 @@ pub fn run(ctx: RunContext) {
     );
     let mut rows = Vec::new();
     for (cluster_name, config) in shapes() {
-        for (name, dtype) in kernels {
-            let def = registry()
-                .into_iter()
-                .find(|d| d.name == name)
-                .expect("kernel");
-            let kernel = def.build(&KernelParams::new(dtype, 8196)).expect("build");
-            let mut best = (0usize, f64::INFINITY);
-            for team in 1..=config.num_cores {
-                let lowered = lower(&kernel, team, &config).expect("lower");
-                let stats = simulate(&config, &lowered.program).expect("simulate");
-                let e = energy_of(&stats, &model, &config).total();
-                if e < best.1 {
-                    best = (team, e);
+        // One journal stage per cluster shape.
+        ctx.stage(&cluster_name, |_| {
+            for (name, dtype) in kernels {
+                let def = registry()
+                    .into_iter()
+                    .find(|d| d.name == name)
+                    .expect("kernel");
+                let kernel = def.build(&KernelParams::new(dtype, 8196)).expect("build");
+                let mut best = (0usize, f64::INFINITY);
+                for team in 1..=config.num_cores {
+                    let lowered = lower(&kernel, team, &config).expect("lower");
+                    let stats = simulate(&config, &lowered.program).expect("simulate");
+                    let e = energy_of(&stats, &model, &config).total();
+                    if e < best.1 {
+                        best = (team, e);
+                    }
                 }
+                println!(
+                    "{:<14} {:<16} {:>6} {:>7}/{:<2} {:>14.4}",
+                    cluster_name,
+                    name,
+                    dtype.to_string(),
+                    best.0,
+                    config.num_cores,
+                    best.1 * 1e-9
+                );
+                rows.push(Row {
+                    cluster: cluster_name.clone(),
+                    kernel: name.to_string(),
+                    dtype: dtype.to_string(),
+                    optimal_cores: best.0,
+                    max_cores: config.num_cores,
+                    energy_at_optimum_uj: best.1 * 1e-9,
+                });
             }
-            println!(
-                "{:<14} {:<16} {:>6} {:>7}/{:<2} {:>14.4}",
-                cluster_name,
-                name,
-                dtype.to_string(),
-                best.0,
-                config.num_cores,
-                best.1 * 1e-9
-            );
-            rows.push(Row {
-                cluster: cluster_name.clone(),
-                kernel: name.to_string(),
-                dtype: dtype.to_string(),
-                optimal_cores: best.0,
-                max_cores: config.num_cores,
-                energy_at_optimum_uj: best.1 * 1e-9,
-            });
-        }
+        });
     }
 
     println!("\nshape checks:");

@@ -58,8 +58,9 @@ mod tests {
     use std::process::ExitCode;
 
     /// Every pipeline experiment, run in-process at `--quick`, writes a
-    /// journal that validates, ends `ok`, renders, and carries the
-    /// experiment's historical tool name.
+    /// journal that validates, ends `ok`, renders, carries the
+    /// experiment's historical tool name and records the experiment's work
+    /// (at least one event besides `run_start` and `run_end`).
     #[test]
     fn every_experiment_writes_a_valid_journal() {
         let dir = std::env::temp_dir().join(format!("pulp-cli-exp-{}", std::process::id()));
@@ -95,6 +96,13 @@ mod tests {
             let read = pulp_obs::JournalReader::read_file(&journal)
                 .unwrap_or_else(|e| panic!("{line}: {e}"));
             assert!(read.ok() && read.run_start().0 == tool, "{line}");
+            assert!(
+                read.events.iter().any(|ev| !matches!(
+                    ev,
+                    pulp_obs::JournalEvent::RunStart { .. } | pulp_obs::JournalEvent::RunEnd { .. }
+                )),
+                "{line}: the journal holds only run_start and run_end"
+            );
             assert!(pulp_obs::render_report(&read).contains(&tool), "{line}");
             tools.push(tool);
         }

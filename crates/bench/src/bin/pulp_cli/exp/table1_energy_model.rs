@@ -52,7 +52,7 @@ fn marginal(config: &ClusterConfig, model: &EnergyModel, kind: OpKind, addr: Opt
     (e1.total() - e0.total()) / (n1 - n0) as f64
 }
 
-pub fn run(ctx: pulp_bench::RunContext) {
+pub fn run(mut ctx: pulp_bench::RunContext) {
     let config = ClusterConfig::default();
     let model = EnergyModel::table1();
 
@@ -110,32 +110,35 @@ pub fn run(ctx: pulp_bench::RunContext) {
         "{:<30} {:>12} {:>12} {:>8}",
         "class", "table1 fJ", "measured fJ", "err%"
     );
-    let mut rows = Vec::new();
-    for (class, kind, addr, expected) in cases {
-        let measured = marginal(&config, &model, kind, addr)
-            - model.icache.use_
-            - if kind == OpKind::Nop {
-                0.0
-            } else {
-                idle_per_cycle
-            };
-        // Expected includes the per-event coefficients; measured removes
-        // the I-cache fetch and platform overhead shared by all classes.
-        let adjusted_expected = expected
-            + if kind == OpKind::Nop {
-                idle_per_cycle
-            } else {
-                0.0
-            };
-        let err = 100.0 * (measured - adjusted_expected) / adjusted_expected;
-        println!("{class:<30} {adjusted_expected:>12.0} {measured:>12.0} {err:>7.2}%");
-        rows.push(Row {
-            class,
-            table1_fj: adjusted_expected,
-            measured_fj_per_event: measured,
-            error_percent: err,
-        });
-    }
+    let rows = ctx.stage("microbench", |_| {
+        let mut rows = Vec::new();
+        for (class, kind, addr, expected) in cases {
+            let measured = marginal(&config, &model, kind, addr)
+                - model.icache.use_
+                - if kind == OpKind::Nop {
+                    0.0
+                } else {
+                    idle_per_cycle
+                };
+            // Expected includes the per-event coefficients; measured removes
+            // the I-cache fetch and platform overhead shared by all classes.
+            let adjusted_expected = expected
+                + if kind == OpKind::Nop {
+                    idle_per_cycle
+                } else {
+                    0.0
+                };
+            let err = 100.0 * (measured - adjusted_expected) / adjusted_expected;
+            println!("{class:<30} {adjusted_expected:>12.0} {measured:>12.0} {err:>7.2}%");
+            rows.push(Row {
+                class,
+                table1_fj: adjusted_expected,
+                measured_fj_per_event: measured,
+                error_percent: err,
+            });
+        }
+        rows
+    });
 
     let worst = rows
         .iter()

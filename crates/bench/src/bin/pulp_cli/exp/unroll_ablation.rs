@@ -11,7 +11,7 @@
 
 use kernel_ir::{unroll_innermost, DType};
 use pulp_bench::RunContext;
-use pulp_energy::{measure_kernel, static_feature_vector, EnergyPredictor, StaticFeatureSet};
+use pulp_energy::{static_feature_vector, EnergyPredictor, StaticFeatureSet};
 use pulp_energy_model::EnergyModel;
 use pulp_kernels::{registry, KernelParams};
 use pulp_ml::TreeParams;
@@ -50,27 +50,34 @@ pub fn run(mut ctx: RunContext) {
         "{:<12} {:>7} {:>6} {:>12} {:>10} {:>10} {:>12}",
         "kernel", "unroll", "best", "E@best [uJ]", "saved", "static op", "pred waste"
     );
+    let unrolled: Vec<_> = kernels
+        .iter()
+        .flat_map(|&name| {
+            let def = registry()
+                .into_iter()
+                .find(|d| d.name == name)
+                .expect("kernel");
+            let base = def
+                .build(&KernelParams::new(DType::I32, 8196))
+                .expect("build");
+            factors.map(|factor| unroll_innermost(&base, factor))
+        })
+        .collect();
+    let profiles = ctx.measure_kernels(&unrolled, &config, &model);
+    let mut measured = unrolled.iter().zip(&profiles);
     let mut rows = Vec::new();
     for name in kernels {
-        let def = registry()
-            .into_iter()
-            .find(|d| d.name == name)
-            .expect("kernel");
-        let base = def
-            .build(&KernelParams::new(DType::I32, 8196))
-            .expect("build");
         let mut rolled_energy = 0.0;
         for factor in factors {
-            let kernel = unroll_innermost(&base, factor);
-            let profile = measure_kernel(&kernel, &config, &model).expect("measure");
+            let (kernel, profile) = measured.next().expect("one profile per kernel");
             let best = profile.label();
             let e_best = profile.energy[best];
             if factor == 1 {
                 rolled_energy = e_best;
             }
-            let predicted = predictor.predict_cores(&kernel) - 1;
+            let predicted = predictor.predict_cores(kernel) - 1;
             let waste = profile.waste(predicted);
-            let op = static_feature_vector(&kernel)[0];
+            let op = static_feature_vector(kernel)[0];
             println!(
                 "{:<12} {:>7} {:>6} {:>12.4} {:>9.1}% {:>10} {:>11.1}%",
                 name,

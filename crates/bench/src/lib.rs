@@ -38,8 +38,10 @@ pub use sim_bench::{basket_program, run_sim_bench, SimBenchOptions, SimBenchRepo
 
 use cli::{Cli, Flag};
 use pulp_energy::pipeline::{BuildObserver, LabeledDataset, PipelineOptions};
-use pulp_energy::{Protocol, RunManifest, SweepCache};
+use pulp_energy::{measure_kernels_sharded, EnergyProfile, Protocol, RunManifest, SweepCache};
+use pulp_energy_model::EnergyModel;
 use pulp_obs::{JournalEvent, JournalWriter, LogFormat, Logger, Recorder};
+use pulp_sim::ClusterConfig;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -304,44 +306,61 @@ impl RunContext {
     /// Panics when the dataset cannot be built — experiments cannot proceed
     /// without it.
     pub fn dataset(&mut self) -> LabeledDataset {
-        let (opts, args) = (&self.opts, &self.args);
-        let log = args.logger();
-        if !args.quiet {
-            log.info(
-                "dataset",
-                "building (this simulates every sample at 1..=8 cores)",
-                &[(
-                    "kernels",
-                    opts.kernel_filter.as_ref().map_or(59, Vec::len).to_string(),
-                )],
-            );
-        }
-        let start = Instant::now();
-        let mut rec = Recorder::new();
-        let observer = BuildObserver {
-            journal: self.journal.as_mut(),
-            logger: Some(&log),
-        };
-        let data =
-            LabeledDataset::build_observed(opts, &mut rec, observer).expect("dataset build failed");
-        if !args.quiet {
-            log.info(
-                "dataset",
-                "built",
-                &[
-                    ("samples", data.len().to_string()),
-                    ("elapsed", format!("{:.1?}", start.elapsed())),
-                ],
-            );
-        }
-        if let Some(sweep) = &opts.cache {
-            // In text mode this renders exactly as the historical
-            // `[cache] N hits, ...` line the CI warm-cache check asserts on: a
-            // warm run must report a 100% hit rate (zero simulator
-            // invocations).
-            log.info("cache", &sweep.stats().to_string(), &[]);
-        }
-        data
+        build_dataset(&self.opts, &self.args, self.journal.as_mut())
+    }
+
+    /// Builds a variant dataset with `opts` in place of the run's pipeline
+    /// options (an ablated platform, say), journaled and logged like
+    /// [`RunContext::dataset`]. The manifest still records the run's own
+    /// options.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the dataset cannot be built.
+    pub fn dataset_with(&mut self, opts: &PipelineOptions) -> LabeledDataset {
+        build_dataset(opts, &self.args, self.journal.as_mut())
+    }
+
+    /// Measures `kernels` at every team size on `config` as one journaled
+    /// `measure` stage: the sweep's shard heartbeats and slowest kernels go
+    /// to the journal, `--threads` sets the worker count and `--progress`
+    /// adds `[sweep]` lines. Profiles come back in input order.
+    ///
+    /// # Panics
+    ///
+    /// Panics when a kernel fails to simulate.
+    pub fn measure_kernels(
+        &mut self,
+        kernels: &[kernel_ir::Kernel],
+        config: &ClusterConfig,
+        model: &EnergyModel,
+    ) -> Vec<EnergyProfile> {
+        let (max_cycles, threads) = (self.opts.max_cycles, self.opts.threads);
+        self.stage("measure", |ctx| {
+            let log = ctx.args.logger();
+            let observer = BuildObserver {
+                journal: ctx.journal.as_mut(),
+                logger: ctx.args.progress.then_some(&log),
+            };
+            measure_kernels_sharded(kernels, config, model, max_cycles, threads, observer)
+                .expect("kernel measurement failed")
+        })
+    }
+
+    /// Runs `work` as the journal stage `name`: a `stage_start` before it
+    /// and a `stage_end` with its wall time after, so `pulp_cli report`
+    /// shows where an experiment's time went. Stages nest.
+    pub fn stage<R>(&mut self, name: &str, work: impl FnOnce(&mut Self) -> R) -> R {
+        self.event(JournalEvent::StageStart {
+            stage: name.to_string(),
+        });
+        let t0 = Instant::now();
+        let out = work(self);
+        self.event(JournalEvent::StageEnd {
+            stage: name.to_string(),
+            wall_ms: t0.elapsed().as_secs_f64() * 1e3,
+        });
+        out
     }
 
     /// Appends `ev` to the journal, if any. A failed write warns: journal
@@ -404,6 +423,53 @@ impl RunContext {
         }
         m
     }
+}
+
+/// Builds the dataset `opts` describes, with the build's stage events,
+/// heartbeats, slow kernels and cache attribution going to `journal` and
+/// its chatter through `args`' logger (see [`RunContext::dataset`]).
+fn build_dataset(
+    opts: &PipelineOptions,
+    args: &CommonArgs,
+    journal: Option<&mut JournalWriter>,
+) -> LabeledDataset {
+    let log = args.logger();
+    if !args.quiet {
+        log.info(
+            "dataset",
+            "building (this simulates every sample at 1..=8 cores)",
+            &[(
+                "kernels",
+                opts.kernel_filter.as_ref().map_or(59, Vec::len).to_string(),
+            )],
+        );
+    }
+    let start = Instant::now();
+    let mut rec = Recorder::new();
+    let observer = BuildObserver {
+        journal,
+        logger: Some(&log),
+    };
+    let data =
+        LabeledDataset::build_observed(opts, &mut rec, observer).expect("dataset build failed");
+    if !args.quiet {
+        log.info(
+            "dataset",
+            "built",
+            &[
+                ("samples", data.len().to_string()),
+                ("elapsed", format!("{:.1?}", start.elapsed())),
+            ],
+        );
+    }
+    if let Some(sweep) = &opts.cache {
+        // In text mode this renders exactly as the historical
+        // `[cache] N hits, ...` line the CI warm-cache check asserts on: a
+        // warm run must report a 100% hit rate (zero simulator
+        // invocations).
+        log.info("cache", &sweep.stats().to_string(), &[]);
+    }
+    data
 }
 
 /// Writes `record` to `path` as pretty JSON; the error names the path.

@@ -141,6 +141,7 @@ impl CycleBreakdown {
         }
     }
 
+    #[inline]
     fn slot(&mut self, cause: CycleCause) -> &mut u64 {
         match cause {
             CycleCause::Execute => &mut self.execute,

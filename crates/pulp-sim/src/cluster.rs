@@ -228,6 +228,7 @@ pub struct SimScratch {
     /// Precomputed per-core FPU index (`ClusterConfig::fpu_of` hoisted out
     /// of the issue path).
     fpu_of: Vec<usize>,
+    parked: Parked,
 }
 
 impl SimScratch {
@@ -249,7 +250,34 @@ impl SimScratch {
         self.cg_open.resize(config.num_cores, false);
         self.fpu_of.clear();
         self.fpu_of.extend((0..team).map(|c| config.fpu_of(c)));
+        self.parked.since.clear();
+        self.parked.since.resize(config.num_cores, NOT_PARKED);
+        self.parked.cause.clear();
+        self.parked.cause.resize(config.num_cores, CycleCause::Idle);
     }
+}
+
+/// `Parked::since` of a core that is not parked.
+const NOT_PARKED: u64 = u64::MAX;
+
+/// Cores that cannot change state, booked in bulk.
+///
+/// A sleeping core — unused (outside the team), finished, at a barrier or
+/// waiting for a fork — books the same cause every cycle until an event
+/// wakes it. Instead of one accounting call per such core per cycle, the
+/// simulator *parks* it: the first sleeping cycle emits what it always
+/// emitted (`CgEnter`, or a `Stall` under the no-clock-gating ablation)
+/// and records the cycle; the span is booked in one step at the next event
+/// that can observe it — a fork signal, a barrier release, the core's own
+/// wake-up or the end of the run (see [`Parked::flush`]). Stats, telemetry
+/// attribution per region and trace streams are identical to per-cycle
+/// booking.
+#[derive(Debug, Default)]
+struct Parked {
+    /// Per cluster core: the first cycle not yet booked, or [`NOT_PARKED`].
+    since: Vec<u64>,
+    /// Per cluster core: the cause a parked core's cycles are booked to.
+    cause: Vec<CycleCause>,
 }
 
 /// Runs `program` on the cluster described by `config`, collecting stats.
@@ -287,10 +315,12 @@ pub fn simulate_traced<S: TraceSink>(
 /// gating energy still counts, which is what makes small team sizes pay for
 /// the silicon they do not use).
 ///
-/// `telemetry` receives one [`Telemetry::on_cycle`] call per team/cluster
-/// core per cycle with the cycle's exclusive [`CycleCause`], plus fork and
-/// barrier-release region boundaries. Pass [`NoTelemetry`] (or use
-/// [`simulate_traced`]) for the zero-cost path.
+/// `telemetry` receives every cluster core's every cycle exactly once with
+/// its exclusive [`CycleCause`] — one [`Telemetry::on_cycle`] call, or a
+/// [`Telemetry::advance_n`] span for fast-forwarded and sleeping cores,
+/// booked before the next fork or barrier-release region boundary — plus
+/// those boundaries. Pass [`NoTelemetry`] (or use [`simulate_traced`]) for
+/// the zero-cost path.
 ///
 /// # Errors
 ///
@@ -365,7 +395,12 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
         forks_seen,
         cg_open,
         fpu_of,
+        parked,
     } = scratch;
+    // Sleeping cores emit a `Stall` every cycle only when the ablation
+    // turns clock gating off; otherwise a parked core is silent until it
+    // wakes.
+    let emit_stalls = !config.model_clock_gating && !sink.is_null();
 
     let mut eu = EventUnit::new(team);
     let mut dma = DmaEngine::new();
@@ -408,6 +443,7 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
             break;
         }
         if cycle >= max_cycles {
+            parked.flush(config, &mut stats, telemetry, cycle, 0);
             return Err(SimError::CycleLimit { budget: max_cycles });
         }
 
@@ -436,8 +472,8 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
             if h > 1 {
                 stats.fast_forward.horizon_skips += 1;
                 bulk_advance(
-                    config, &mut stats, modes, left, cause, cg_open, &mut eu, sink, telemetry,
-                    cycle, h,
+                    config, &mut stats, modes, left, cause, cg_open, parked, &mut eu, sink,
+                    telemetry, cycle, h,
                 );
                 cycle += h;
                 continue;
@@ -456,16 +492,9 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
         for core in 0..team {
             match modes[core] {
                 Mode::Finished => {
-                    count_sleep(
-                        config,
-                        &mut stats,
-                        cg_open,
-                        sink,
-                        telemetry,
-                        cycle,
-                        core,
-                        CycleCause::Idle,
-                    );
+                    if emit_stalls {
+                        sink.emit(cycle, parked.stall_event(core));
+                    }
                 }
                 Mode::Busy => {
                     stall(&mut stats, sink, telemetry, cycle, core, cause[core]);
@@ -491,6 +520,7 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
                     left[core] = l;
                     if l == 0 {
                         eu.signal_fork();
+                        parked.flush(config, &mut stats, telemetry, cycle, core);
                         telemetry.on_fork(cycle);
                         sink.emit(cycle, TraceEvent::Fork);
                         cursors[core].advance();
@@ -499,20 +529,16 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
                     }
                 }
                 Mode::SleepBarrier => {
-                    count_sleep(
-                        config,
-                        &mut stats,
-                        cg_open,
-                        sink,
-                        telemetry,
-                        cycle,
-                        core,
-                        CycleCause::Barrier,
-                    );
+                    if parked.since[core] == NOT_PARKED {
+                        parked.park(config, cg_open, sink, cycle, core, CycleCause::Barrier);
+                    } else if emit_stalls {
+                        sink.emit(cycle, parked.stall_event(core));
+                    }
                 }
                 Mode::SleepFork => {
                     if eu.fork_ready(forks_seen[core]) {
                         // Wake: this cycle is the dispatch cycle.
+                        parked.unpark(config, &mut stats, telemetry, cycle, core);
                         if cg_open[core] {
                             cg_open[core] = false;
                             sink.emit(cycle, TraceEvent::CgExit { core });
@@ -530,17 +556,8 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
                         any_active = true;
                         modes[core] = Mode::Ready;
                         ready_next += usize::from(!cursors[core].next_is_dma_wait());
-                    } else {
-                        count_sleep(
-                            config,
-                            &mut stats,
-                            cg_open,
-                            sink,
-                            telemetry,
-                            cycle,
-                            core,
-                            CycleCause::ForkWait,
-                        );
+                    } else if emit_stalls {
+                        sink.emit(cycle, parked.stall_event(core));
                     }
                 }
                 Mode::Ready => {
@@ -548,20 +565,11 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
                     if step == Step::Done {
                         modes[core] = Mode::Finished;
                         finished += 1;
-                        count_sleep(
-                            config,
-                            &mut stats,
-                            cg_open,
-                            sink,
-                            telemetry,
-                            cycle,
-                            core,
-                            CycleCause::Idle,
-                        );
+                        parked.park(config, cg_open, sink, cycle, core, CycleCause::Idle);
                         continue;
                     }
                     any_active = true;
-                    let ready = step_core(
+                    let stepped = step_core(
                         config,
                         fork_cycles,
                         &mut stats,
@@ -572,6 +580,7 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
                         forks_seen,
                         cg_open,
                         fpu_of,
+                        parked,
                         &mut eu,
                         &mut dma,
                         &mut arbiter,
@@ -583,24 +592,28 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
                         cycle,
                         core,
                         step,
-                    )?;
-                    ready_next += usize::from(ready);
+                    );
+                    match stepped {
+                        Ok(ready) => ready_next += usize::from(ready),
+                        Err(e) => {
+                            parked.flush(config, &mut stats, telemetry, cycle, core);
+                            return Err(e);
+                        }
+                    }
                 }
             }
         }
 
-        // Unused physical cores are clock-gated for the whole run.
-        for core in team..config.num_cores {
-            count_sleep(
-                config,
-                &mut stats,
-                cg_open,
-                sink,
-                telemetry,
-                cycle,
-                core,
-                CycleCause::Idle,
-            );
+        // Unused physical cores are clock-gated for the whole run: parked
+        // on cycle 0, which every run steps (all team cores start `Ready`).
+        if cycle == 0 {
+            for core in team..config.num_cores {
+                parked.park(config, cg_open, sink, cycle, core, CycleCause::Idle);
+            }
+        } else if emit_stalls {
+            for core in team..config.num_cores {
+                sink.emit(cycle, parked.stall_event(core));
+            }
         }
 
         if barrier_release {
@@ -608,10 +621,12 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
         }
         if eu.tick_release() {
             stats.barriers += 1;
+            parked.flush(config, &mut stats, telemetry, cycle, config.num_cores);
             telemetry.on_barrier_release(cycle);
             sink.emit(cycle, TraceEvent::BarrierRelease);
             for core in 0..team {
                 if modes[core] == Mode::SleepBarrier {
+                    parked.since[core] = NOT_PARKED;
                     if cg_open[core] {
                         cg_open[core] = false;
                         sink.emit(cycle + 1, TraceEvent::CgExit { core });
@@ -634,6 +649,7 @@ pub fn simulate_opts<S: TraceSink, T: Telemetry>(
         }
         cycle += 1;
     }
+    parked.flush(config, &mut stats, telemetry, cycle, 0);
     if opts.horizon_timing {
         stats.fast_forward.horizon_scan_nanos = scale_sampled_nanos(
             scan_nanos_raw,
@@ -691,31 +707,105 @@ fn stall<S: TraceSink, T: Telemetry>(
     sink.emit(cycle, TraceEvent::Stall { core, cause });
 }
 
-/// Accounts one sleeping cycle for `core`, routed to clock gating or active
-/// wait depending on the configuration's ablation switch. The cause tags
-/// the whole gating region (emitted once, on `CgEnter`): a sleeping core's
-/// reason cannot change until it wakes, which closes the region.
-#[allow(clippy::too_many_arguments)]
-fn count_sleep<S: TraceSink, T: Telemetry>(
-    config: &ClusterConfig,
-    stats: &mut SimStats,
-    cg_open: &mut [bool],
-    sink: &mut S,
-    telemetry: &mut T,
-    cycle: u64,
-    core: usize,
-    cause: CycleCause,
-) {
-    if config.model_clock_gating {
-        if !cg_open[core] {
-            cg_open[core] = true;
-            sink.emit(cycle, TraceEvent::CgEnter { core, cause });
+impl Parked {
+    /// Parks `core` from `cycle` on. Emits what a first sleeping cycle
+    /// emits — `CgEnter` opening the gated region, whose cause tags the
+    /// whole region (a sleeping core's reason cannot change until it wakes,
+    /// which closes the region), or a `Stall` under the no-clock-gating
+    /// ablation — and leaves the booking of every cycle from `cycle` on to
+    /// [`Parked::flush`] / [`Parked::unpark`].
+    fn park<S: TraceSink>(
+        &mut self,
+        config: &ClusterConfig,
+        cg_open: &mut [bool],
+        sink: &mut S,
+        cycle: u64,
+        core: usize,
+        cause: CycleCause,
+    ) {
+        if config.model_clock_gating {
+            if !cg_open[core] {
+                cg_open[core] = true;
+                sink.emit(cycle, TraceEvent::CgEnter { core, cause });
+            }
+        } else {
+            sink.emit(cycle, TraceEvent::Stall { core, cause });
         }
-        stats.cores[core].cg_cycles += 1;
-        stats.cores[core].breakdown.add(cause);
-        telemetry.on_cycle(cycle, core, cause);
-    } else {
-        stall(stats, sink, telemetry, cycle, core, cause);
+        self.since[core] = cycle;
+        self.cause[core] = cause;
+    }
+
+    /// The `Stall` a parked core emits on every later cycle under the
+    /// no-clock-gating ablation (a gated core is silent until it wakes).
+    #[inline]
+    fn stall_event(&self, core: usize) -> TraceEvent {
+        TraceEvent::Stall {
+            core,
+            cause: self.cause[core],
+        }
+    }
+
+    /// Books every parked core up to the current point of cycle `cycle`:
+    /// cores `0..visited` have already been stepped in `cycle` (their slot
+    /// precedes the observing event), so they are booked through `cycle`;
+    /// the rest up to it. Called before every event that can observe the
+    /// accounting — a fork signal or barrier release (region boundaries for
+    /// [`Telemetry`]), an error and the end of the run.
+    fn flush<T: Telemetry>(
+        &mut self,
+        config: &ClusterConfig,
+        stats: &mut SimStats,
+        telemetry: &mut T,
+        cycle: u64,
+        visited: usize,
+    ) {
+        for core in 0..self.since.len() {
+            if self.since[core] != NOT_PARKED {
+                let upto = cycle + u64::from(core < visited);
+                self.book(config, stats, telemetry, core, upto);
+                self.since[core] = upto;
+            }
+        }
+    }
+
+    /// Books parked `core` up to `cycle`, on which it wakes, and unparks it.
+    fn unpark<T: Telemetry>(
+        &mut self,
+        config: &ClusterConfig,
+        stats: &mut SimStats,
+        telemetry: &mut T,
+        cycle: u64,
+        core: usize,
+    ) {
+        self.book(config, stats, telemetry, core, cycle);
+        self.since[core] = NOT_PARKED;
+    }
+
+    /// Books the sleeping cycles `since..upto` of `core`, routed to clock
+    /// gating or active wait depending on the configuration's ablation
+    /// switch.
+    fn book<T: Telemetry>(
+        &self,
+        config: &ClusterConfig,
+        stats: &mut SimStats,
+        telemetry: &mut T,
+        core: usize,
+        upto: u64,
+    ) {
+        let (since, cause) = (self.since[core], self.cause[core]);
+        debug_assert!(since <= upto, "core {core}: parked span {since}..{upto}");
+        let n = upto - since;
+        if n == 0 {
+            return;
+        }
+        let core_stats = &mut stats.cores[core];
+        if config.model_clock_gating {
+            core_stats.cg_cycles += n;
+        } else {
+            core_stats.idle_cycles += n;
+        }
+        core_stats.breakdown.add_n(cause, n);
+        telemetry.advance_n(since, core, n, cause);
     }
 }
 
@@ -827,6 +917,7 @@ fn bulk_advance<S: TraceSink, T: Telemetry>(
     left: &mut [u32],
     cause: &mut [CycleCause],
     cg_open: &mut [bool],
+    parked: &mut Parked,
     eu: &mut EventUnit,
     sink: &mut S,
     telemetry: &mut T,
@@ -881,15 +972,19 @@ fn bulk_advance<S: TraceSink, T: Telemetry>(
     let mut any_active = false;
     for core in 0..config.num_cores {
         let (span_cause, sleeping) = bulk_class(modes, cause, team, core);
-        if sleeping && config.model_clock_gating {
-            cg_open[core] = true;
-            stats.cores[core].cg_cycles += n;
-        } else {
-            stats.cores[core].idle_cycles += n;
+        if sleeping {
+            // Sleepers are parked (a barrier sleeper whose first sleeping
+            // cycle opens the span parks here, its `CgEnter` replayed
+            // above) and booked at the next observable event.
+            if parked.since[core] == NOT_PARKED {
+                cg_open[core] = config.model_clock_gating;
+                parked.since[core] = cycle;
+                parked.cause[core] = span_cause;
+            }
+            continue;
         }
-        if !sleeping {
-            any_active = true;
-        }
+        any_active = true;
+        stats.cores[core].idle_cycles += n;
         stats.cores[core].breakdown.add_n(span_cause, n);
         telemetry.advance_n(cycle, core, n, span_cause);
         if core < team {
@@ -952,6 +1047,7 @@ fn step_core<S: TraceSink, T: Telemetry>(
     forks_seen: &mut [u64],
     cg_open: &mut [bool],
     fpu_of: &[usize],
+    parked: &mut Parked,
     eu: &mut EventUnit,
     dma: &mut DmaEngine,
     arbiter: &mut TcdmArbiter,
@@ -985,6 +1081,7 @@ fn step_core<S: TraceSink, T: Telemetry>(
             stall(stats, sink, telemetry, cycle, core, CycleCause::Runtime);
             if fork_cycles <= 1 {
                 eu.signal_fork();
+                parked.flush(config, stats, telemetry, cycle, core);
                 telemetry.on_fork(cycle);
                 sink.emit(cycle, TraceEvent::Fork);
                 cursors[core].advance();
@@ -1002,21 +1099,7 @@ fn step_core<S: TraceSink, T: Telemetry>(
             }
             modes[core] = Mode::SleepFork;
             // This cycle already counts as sleeping.
-            if config.model_clock_gating {
-                cg_open[core] = true;
-                sink.emit(
-                    cycle,
-                    TraceEvent::CgEnter {
-                        core,
-                        cause: CycleCause::ForkWait,
-                    },
-                );
-                stats.cores[core].cg_cycles += 1;
-                stats.cores[core].breakdown.add(CycleCause::ForkWait);
-                telemetry.on_cycle(cycle, core, CycleCause::ForkWait);
-                return Ok(false);
-            }
-            stall(stats, sink, telemetry, cycle, core, CycleCause::ForkWait);
+            parked.park(config, cg_open, sink, cycle, core, CycleCause::ForkWait);
         }
         Step::CriticalBegin => {
             if eu.try_lock(core) {
@@ -1699,6 +1782,8 @@ mod tests {
         let mut left = vec![left0];
         let mut cause = vec![CycleCause::Dma];
         let mut cg_open = vec![false; config.num_cores];
+        let mut scratch = SimScratch::new();
+        scratch.prepare(1, &config);
         let mut eu = EventUnit::new(1);
         bulk_advance(
             &config,
@@ -1707,6 +1792,7 @@ mod tests {
             &mut left,
             &mut cause,
             &mut cg_open,
+            &mut scratch.parked,
             &mut eu,
             &mut NullSink,
             &mut NoTelemetry,
@@ -1844,6 +1930,115 @@ mod tests {
             adaptive.fast_forward.horizon_computations
         );
         assert!(always.fast_forward.horizon_computations >= adaptive.cycles / 2);
+    }
+
+    /// Region profiler plus each core's `Idle` cycles per region, booked
+    /// to the region open when the simulator reports them.
+    #[derive(Default)]
+    struct IdlePerRegion {
+        profiler: crate::telemetry::RegionProfiler,
+        idle: Vec<Vec<u64>>,
+    }
+
+    impl IdlePerRegion {
+        fn book(&mut self, core: usize, n: u64, cause: CycleCause) {
+            let region = self.profiler.regions().len() - 1;
+            self.idle.resize(region + 1, vec![0; 8]);
+            if cause == CycleCause::Idle {
+                self.idle[region][core] += n;
+            }
+        }
+    }
+
+    impl Telemetry for IdlePerRegion {
+        fn on_cycle(&mut self, cycle: u64, core: usize, cause: CycleCause) {
+            self.profiler.on_cycle(cycle, core, cause);
+            self.book(core, 1, cause);
+        }
+
+        fn advance_n(&mut self, cycle: u64, core: usize, n: u64, cause: CycleCause) {
+            self.profiler.advance_n(cycle, core, n, cause);
+            self.book(core, n, cause);
+        }
+
+        fn on_fork(&mut self, cycle: u64) {
+            self.profiler.on_fork(cycle);
+        }
+
+        fn on_barrier_release(&mut self, cycle: u64) {
+            self.profiler.on_barrier_release(cycle);
+        }
+
+        fn on_finish(&mut self, cycles: u64) {
+            self.profiler.on_finish(cycles);
+        }
+    }
+
+    #[test]
+    fn unused_cores_book_exactly_their_regions_cycles() {
+        use crate::telemetry::RegionKind;
+        // Team 2 on the 8-core cluster: two fork/join regions with serial
+        // code around them, so cores 2..8 are parked for the whole run and
+        // booked in bulk at each fork, barrier release and the run's end.
+        let worker = |n: u64| {
+            vec![
+                SegOp::WaitFork,
+                SegOp::LoopBegin { trip: n },
+                instr(OpKind::Alu),
+                SegOp::LoopEnd,
+                SegOp::Barrier,
+            ]
+        };
+        let p = Program::new(vec![
+            [instr(OpKind::Alu), instr(OpKind::Alu), SegOp::Fork]
+                .into_iter()
+                .chain(vec![instr(OpKind::Mul); 5])
+                .chain([SegOp::Barrier, instr(OpKind::Div), SegOp::Fork])
+                .chain([instr(OpKind::Alu), SegOp::Barrier, instr(OpKind::Alu)])
+                .collect(),
+            worker(9).into_iter().chain(worker(2)).collect(),
+        ]);
+        for config in [cfg(), cfg().without_clock_gating()] {
+            for opts in [SimOptions::default(), SimOptions::oracle()] {
+                let mut tel = IdlePerRegion::default();
+                let s = simulate_opts(
+                    &config,
+                    &p,
+                    &opts,
+                    &mut NullSink,
+                    &mut tel,
+                    &mut SimScratch::new(),
+                )
+                .expect("simulate");
+                let regions = tel.profiler.regions();
+                let kinds: Vec<_> = regions.iter().map(|r| r.kind).collect();
+                use RegionKind::{Parallel, Serial};
+                assert_eq!(kinds, [Serial, Parallel, Serial, Parallel, Serial]);
+                // A fork is signalled in the master's slot of its cycle, so
+                // every core after the master books the fork cycle in the
+                // parallel region the fork opens (which starts a cycle
+                // later); a barrier release comes after every slot.
+                for (i, r) in regions.iter().enumerate() {
+                    let opens_with_fork = r.kind == Parallel;
+                    let closes_with_fork = regions.get(i + 1).is_some_and(|n| n.kind == Parallel);
+                    let expected =
+                        r.cycles() + u64::from(opens_with_fork) - u64::from(closes_with_fork);
+                    for core in 2..8 {
+                        assert_eq!(
+                            tel.idle[i][core],
+                            expected,
+                            "{} core {core} ({opts:?}, clock gating {})",
+                            r.label(),
+                            config.model_clock_gating
+                        );
+                    }
+                }
+                for core in 2..8 {
+                    let total: u64 = tel.idle.iter().map(|r| r[core]).sum();
+                    assert_eq!(total, s.cycles, "core {core} books every cycle once");
+                }
+            }
+        }
     }
 
     #[test]

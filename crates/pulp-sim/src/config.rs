@@ -99,6 +99,20 @@ impl Default for ClusterConfig {
     }
 }
 
+/// `(addr >> 2) % banks`: the bank serving `addr` when consecutive 32-bit
+/// words map to consecutive banks. Power-of-two bank counts (every shipped
+/// configuration) take a mask instead of the 64-bit division, which sits
+/// on the per-memory-op path of the simulator.
+#[inline]
+fn word_interleaved_bank(addr: u32, banks: usize) -> usize {
+    let word = (addr >> 2) as usize;
+    if banks.is_power_of_two() {
+        word & (banks - 1)
+    } else {
+        word % banks
+    }
+}
+
 impl ClusterConfig {
     /// Creates the default `8c4flp` configuration.
     pub fn new() -> Self {
@@ -111,13 +125,13 @@ impl ClusterConfig {
     /// consecutive banks.
     #[inline]
     pub fn tcdm_bank_of(&self, addr: u32) -> usize {
-        ((addr >> 2) as usize) % self.tcdm_banks
+        word_interleaved_bank(addr, self.tcdm_banks)
     }
 
     /// Returns the L2 bank index serving byte address `addr`.
     #[inline]
     pub fn l2_bank_of(&self, addr: u32) -> usize {
-        ((addr >> 2) as usize) % self.l2_banks
+        word_interleaved_bank(addr, self.l2_banks)
     }
 
     /// Returns the FPU index serving `core` (fixed 2:1 mapping on `8c4flp`).
@@ -222,6 +236,38 @@ mod tests {
         assert_eq!(c.tcdm_bank_of(TCDM_BASE + 4 * 16), 0);
         // Sub-word addresses map to the same bank as their word.
         assert_eq!(c.tcdm_bank_of(TCDM_BASE + 2), c.tcdm_bank_of(TCDM_BASE));
+    }
+
+    #[test]
+    fn bank_mapping_equals_word_modulo_for_every_bank_count() {
+        // The mask fast path must agree with `(addr >> 2) % banks` for
+        // power-of-two counts, and the fallback for every other count.
+        let addrs = [
+            0,
+            1,
+            4,
+            60,
+            64,
+            0xFFFF,
+            TCDM_BASE,
+            TCDM_BASE + 0x1234,
+            L2_BASE + 4 * 999,
+        ];
+        let addrs = addrs.into_iter().chain((0..4096).map(|i| i * 7 + 3));
+        for addr in addrs.chain([u32::MAX, u32::MAX - 3]) {
+            for banks in [
+                1usize, 2, 3, 4, 5, 6, 7, 8, 12, 16, 24, 31, 32, 64, 100, 1024,
+            ] {
+                let c = ClusterConfig {
+                    tcdm_banks: banks,
+                    l2_banks: banks,
+                    ..ClusterConfig::default()
+                };
+                let expected = ((addr >> 2) as usize) % banks;
+                assert_eq!(c.tcdm_bank_of(addr), expected, "tcdm {addr:#x} / {banks}");
+                assert_eq!(c.l2_bank_of(addr), expected, "l2 {addr:#x} / {banks}");
+            }
+        }
     }
 
     #[test]

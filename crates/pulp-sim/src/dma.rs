@@ -27,6 +27,7 @@ pub struct DmaTransfer {
 
 impl DmaTransfer {
     /// Creates an inbound (L2 → TCDM) transfer of `words` words.
+    #[inline]
     pub fn inbound(words: u64) -> Self {
         Self {
             words,
@@ -35,6 +36,7 @@ impl DmaTransfer {
     }
 
     /// Creates an outbound (TCDM → L2) transfer of `words` words.
+    #[inline]
     pub fn outbound(words: u64) -> Self {
         Self {
             words,
@@ -44,6 +46,7 @@ impl DmaTransfer {
 
     /// Cycles the engine is busy executing this transfer
     /// (`DMA_WORDS_PER_CYCLE` words per cycle after setup).
+    #[inline]
     pub fn busy_cycles(&self) -> u64 {
         DMA_SETUP_CYCLES + self.words.div_ceil(DMA_WORDS_PER_CYCLE)
     }
@@ -73,6 +76,7 @@ impl DmaEngine {
     ///
     /// Accounting-only entry point; use [`DmaEngine::schedule`] inside the
     /// simulator so completion time is tracked too.
+    #[inline]
     pub fn run(&mut self, t: DmaTransfer) -> u64 {
         let c = t.busy_cycles();
         self.words += t.words;
@@ -82,6 +86,7 @@ impl DmaEngine {
 
     /// Programs `t` at `cycle`, returning the cycles the engine is busy
     /// with it and extending [`DmaEngine::free_at`] past the transfer.
+    #[inline]
     pub fn schedule(&mut self, cycle: u64, t: DmaTransfer) -> u64 {
         let c = self.run(t);
         self.free_at = self.free_at.max(cycle + c);
@@ -91,22 +96,26 @@ impl DmaEngine {
     /// First cycle at which every scheduled transfer has drained. A core
     /// parked on `DmaWait` provably spins until this cycle, which is the
     /// DMA contribution to the fast-forward event horizon.
+    #[inline]
     pub fn free_at(&self) -> u64 {
         self.free_at
     }
 
     /// Returns `true` while a scheduled transfer is still streaming at
     /// `cycle` (an async issue must retry).
+    #[inline]
     pub fn busy_at(&self, cycle: u64) -> bool {
         cycle < self.free_at
     }
 
     /// Total words moved.
+    #[inline]
     pub fn words_transferred(&self) -> u64 {
         self.words
     }
 
     /// Total busy cycles.
+    #[inline]
     pub fn busy_cycles(&self) -> u64 {
         self.busy
     }

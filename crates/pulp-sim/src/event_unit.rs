@@ -42,6 +42,7 @@ impl EventUnit {
 
     /// Arms the release broadcast: it fires after `latency` more
     /// end-of-cycle [`EventUnit::tick_release`] calls.
+    #[inline]
     pub fn schedule_release(&mut self, latency: u32) {
         self.release_countdown = Some(latency);
     }
@@ -51,6 +52,7 @@ impl EventUnit {
     /// Returns `true` exactly once per armed release, on the cycle the
     /// broadcast fires (the caller must then wake sleepers and call
     /// [`EventUnit::release_barrier`]).
+    #[inline]
     pub fn tick_release(&mut self) -> bool {
         match self.release_countdown {
             Some(0) => {
@@ -68,6 +70,7 @@ impl EventUnit {
     /// Ticks remaining until the pending release fires (`None` when no
     /// release is armed). This bounds the fast-forward event horizon: the
     /// firing cycle itself must run single-step because it wakes sleepers.
+    #[inline]
     pub fn release_in(&self) -> Option<u32> {
         self.release_countdown
     }
@@ -78,6 +81,7 @@ impl EventUnit {
     /// # Panics
     ///
     /// Panics in debug builds if `n` exceeds the remaining countdown.
+    #[inline]
     pub fn skip_release_wait(&mut self, n: u64) {
         if let Some(k) = self.release_countdown {
             debug_assert!(
@@ -97,6 +101,7 @@ impl EventUnit {
     ///
     /// Panics if the core already arrived (a core cannot arrive twice at the
     /// same barrier episode).
+    #[inline]
     pub fn arrive(&mut self, core: usize) -> bool {
         assert!(!self.arrived[core], "core {core} arrived twice");
         self.arrived[core] = true;
@@ -105,22 +110,26 @@ impl EventUnit {
     }
 
     /// Resets the barrier for the next episode.
+    #[inline]
     pub fn release_barrier(&mut self) {
         self.arrived.iter_mut().for_each(|a| *a = false);
         self.arrived_count = 0;
     }
 
     /// Returns `true` if `core` is currently waiting at the barrier.
+    #[inline]
     pub fn is_waiting(&self, core: usize) -> bool {
         self.arrived[core]
     }
 
     /// Signals one fork (master side).
+    #[inline]
     pub fn signal_fork(&mut self) {
         self.forks_signalled += 1;
     }
 
     /// Returns `true` if fork number `seq` (0-based) has been signalled.
+    #[inline]
     pub fn fork_ready(&self, seq: u64) -> bool {
         self.forks_signalled > seq
     }
@@ -133,6 +142,7 @@ impl EventUnit {
     /// # Panics
     ///
     /// Panics if `core` already holds the lock.
+    #[inline]
     pub fn try_lock(&mut self, core: usize) -> bool {
         match self.lock_holder {
             None => {
@@ -151,6 +161,7 @@ impl EventUnit {
     /// # Panics
     ///
     /// Panics if `core` does not hold the lock.
+    #[inline]
     pub fn unlock(&mut self, core: usize) {
         assert_eq!(
             self.lock_holder,

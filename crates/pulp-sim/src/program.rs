@@ -438,13 +438,28 @@ impl<'p> Cursor<'p> {
         }
     }
 
-    /// Folds loop bookkeeping (entering loops, iterating, popping finished
-    /// frames) until the cursor rests on a yieldable op, and returns it
-    /// (`None` once the stream is exhausted). Frame mutations only happen
-    /// while the pc sits on a `LoopBegin`/`LoopEnd` marker, so once resolved
-    /// the call is idempotent until the next [`Cursor::advance`].
+    /// Returns the yieldable op the cursor rests on (`None` once the stream
+    /// is exhausted), folding any loop bookkeeping first. Frame mutations
+    /// only happen while the pc sits on a `LoopBegin`/`LoopEnd` marker, so
+    /// once resolved the call is idempotent until the next
+    /// [`Cursor::advance`].
+    ///
+    /// The common case — the pc already on a non-loop op — is inlined into
+    /// the simulator's per-cycle loop; loop entry, iteration and exit take
+    /// the out-of-line [`Cursor::fold_loops`].
     #[inline]
     fn resolve(&mut self) -> Option<&'p SegOp> {
+        match self.stream.get(self.pc) {
+            Some(SegOp::LoopBegin { .. } | SegOp::LoopEnd) => self.fold_loops(),
+            op => op,
+        }
+    }
+
+    /// Slow path of [`Cursor::resolve`]: enters loops, iterates and pops
+    /// finished frames until the cursor rests on a yieldable op.
+    #[cold]
+    #[inline(never)]
+    fn fold_loops(&mut self) -> Option<&'p SegOp> {
         let stream = self.stream;
         loop {
             let op = stream.get(self.pc)?;
@@ -480,6 +495,9 @@ impl<'p> Cursor<'p> {
     }
 
     /// Returns the step at the current position without consuming it.
+    // `always`: under a plain `#[inline]` the compiler kept this an
+    // out-of-line call on every simulated op (a fifth of the sweep's time).
+    #[inline(always)]
     pub fn current(&mut self) -> Step {
         let Some(op) = self.resolve() else {
             return Step::Done;
@@ -525,6 +543,7 @@ impl<'p> Cursor<'p> {
     }
 
     /// Consumes the current step, moving to the next one.
+    #[inline]
     pub fn advance(&mut self) {
         if self.pc < self.stream.len() {
             self.pc += 1;

@@ -26,9 +26,11 @@ pub trait Telemetry {
 
     /// One core spent `n` consecutive cycles starting at `cycle` on `cause`.
     ///
-    /// Bulk entry point used by the simulator's event-horizon fast-forward:
-    /// inside a bulk span nothing can change, so a core's whole span is
-    /// reported in one call instead of `n` [`Telemetry::on_cycle`] calls.
+    /// Bulk entry point used by the simulator's event-horizon fast-forward
+    /// and for sleeping (parked) cores: inside such a span nothing can
+    /// change, so a core's whole span is reported in one call instead of
+    /// `n` [`Telemetry::on_cycle`] calls. A span never crosses a fork or
+    /// barrier release: it is reported before the boundary event.
     /// The default implementation falls back to per-cycle `on_cycle` calls,
     /// so existing observers stay correct without changes. Note the
     /// cross-core interleaving differs from single-step mode (spans arrive
@@ -211,7 +213,8 @@ impl Telemetry for RegionProfiler {
 
     fn advance_n(&mut self, cycle: u64, _core: usize, n: u64, cause: CycleCause) {
         // O(1) bulk attribution: a span never crosses a fork or release
-        // (those end the span), so it lands entirely in the current region.
+        // (the simulator reports it before either), so it lands entirely
+        // in the current region.
         if n == 0 {
             return;
         }
